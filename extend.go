@@ -72,10 +72,11 @@ func (r *Result) BuildHierarchyWith(method HierarchyMethod) (*Hierarchy, error) 
 	return r.BuildHierarchyWithContext(context.Background(), method)
 }
 
-// BuildHierarchyWithContext is BuildHierarchyWith with cancellation: the
-// sharded O(terms²) parent-selection sweep checks ctx between terms, so a
-// caller-imposed deadline aborts hierarchy construction promptly instead
-// of completing the full pairwise pass.
+// BuildHierarchyWithContext is BuildHierarchyWith with cancellation:
+// document assignment checks ctx between documents and the sharded
+// O(terms²) parent-selection sweep between terms, so a caller-imposed
+// deadline aborts hierarchy construction promptly instead of completing
+// the full assignment and pairwise pass.
 func (r *Result) BuildHierarchyWithContext(ctx context.Context, method HierarchyMethod) (*Hierarchy, error) {
 	if r.stages != nil {
 		defer r.stages.Start("build_hierarchy")()
@@ -93,7 +94,10 @@ func (r *Result) BuildHierarchyWithContext(ctx context.Context, method Hierarchy
 			name, strings.Join(hierarchy.Names(), ", "))
 	}
 	terms := r.Terms()
-	docTerms := r.assignDocTerms(terms)
+	docTerms, err := r.assignDocTerms(ctx, terms)
+	if err != nil {
+		return nil, err
+	}
 	forest, err := b.Build(ctx, terms, docTerms, r.sys.hierarchyBuildConfig())
 	if err != nil {
 		return nil, err

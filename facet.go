@@ -525,14 +525,18 @@ func (r *Result) BuildHierarchy() (*Hierarchy, error) {
 
 // assignDocTerms computes the document-to-facet assignment: terms from
 // the document text, plus context terms corroborated by at least two of
-// the document's important terms (see core.ContextVotes).
-func (r *Result) assignDocTerms(terms []string) [][]string {
+// the document's important terms (see core.ContextVotes). It stops with
+// ctx's error once ctx is done.
+func (r *Result) assignDocTerms(ctx context.Context, terms []string) ([][]string, error) {
 	termSet := map[string]bool{}
 	for _, t := range terms {
 		termSet[t] = true
 	}
 	corpus := r.sys.corpus
-	votes := core.ContextVotes(r.inner.Important, r.inner.Resources, nil)
+	votes, err := core.ContextVotesContext(ctx, r.inner.Important, r.inner.Resources, nil)
+	if err != nil {
+		return nil, err
+	}
 	docTerms := make([][]string, corpus.Len())
 	for d := 0; d < corpus.Len(); d++ {
 		present := map[string]bool{}
@@ -555,7 +559,7 @@ func (r *Result) assignDocTerms(terms []string) [][]string {
 		}
 		sort.Strings(docTerms[d])
 	}
-	return docTerms
+	return docTerms, nil
 }
 
 // Roots returns the top-level facets.

@@ -194,8 +194,10 @@ type Result struct {
 	// Context[i] lists the context terms added to document i.
 	Context [][]string
 	// Resources are the resources the run used; downstream consumers
-	// (hierarchy population, browsing assignment) re-query them through
-	// the shared cache.
+	// (hierarchy population, browsing assignment) re-query them, each
+	// through a cache of its choosing. The facade's document assignment
+	// passes ContextVotesContext no cache, so it gets a fresh one and
+	// repeats every Step-2 lookup.
 	Resources []Resource
 	// NumDocs is the collection size |D|.
 	NumDocs int
@@ -612,11 +614,23 @@ func ExpandDocTermsAppend(dst []textdb.TermID, dict *textdb.Dictionary, orig []t
 // one stray entity mention from tagging the story with a whole unrelated
 // dimension.
 func ContextVotes(important [][]string, resources []Resource, cache *ResourceCache) []map[string]int {
+	// The background context is never done, so there is no error.
+	out, _ := ContextVotesContext(context.Background(), important, resources, cache)
+	return out
+}
+
+// ContextVotesContext is ContextVotes with cancellation: it checks ctx
+// before each document and returns ctx's error, and no votes, once ctx
+// is done.
+func ContextVotesContext(ctx context.Context, important [][]string, resources []Resource, cache *ResourceCache) ([]map[string]int, error) {
 	if cache == nil {
 		cache = NewResourceCache()
 	}
 	out := make([]map[string]int, len(important))
 	for i, terms := range important {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		votes := map[string]int{}
 		for _, t := range terms {
 			seen := map[string]bool{}
@@ -631,7 +645,7 @@ func ContextVotes(important [][]string, resources []Resource, cache *ResourceCac
 		}
 		out[i] = votes
 	}
-	return out
+	return out, nil
 }
 
 // Analyze is Step 3 (Figure 3): comparative term-frequency analysis over

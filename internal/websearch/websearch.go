@@ -12,7 +12,7 @@
 package websearch
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/lang"
@@ -22,9 +22,35 @@ import (
 )
 
 // Engine is a searchable page collection.
+//
+// Besides the BM25 index, NewEngine tokenizes every page once into a
+// private vocabulary, so Resource.Context counts integer term IDs over
+// stored streams instead of re-tokenizing its result pages per query.
+// The engine is read-only after construction and safe for concurrent
+// use.
 type Engine struct {
 	corpus *textdb.Corpus
 	index  *textdb.Index
+
+	vocab  map[string]int32 // token norm → private term ID
+	words  []string         // term ID → token norm
+	terms  []termInfo       // term ID → per-term facts
+	titles []tokenStream    // per page, in corpus order
+	texts  []tokenStream
+}
+
+// termInfo holds what Context needs to know about a term, computed once.
+type termInfo struct {
+	stop  bool  // lang.IsStopword: never counted, never part of a bigram
+	short bool  // one byte long: never a unigram context term
+	df    int32 // pages containing the term, as textdb.Index.DocFreq counts
+}
+
+// tokenStream is a tokenized text: one term ID per token, and whether
+// the token opens a phrase segment (lang.Token.PhraseStart).
+type tokenStream struct {
+	ids         []int32
+	phraseStart []bool
 }
 
 // NewEngineFromWiki indexes every wiki page as a web document.
@@ -36,9 +62,47 @@ func NewEngineFromWiki(w *wiki.Wiki) *Engine {
 	return NewEngine(c)
 }
 
-// NewEngine wraps an existing corpus as a search engine.
+// NewEngine wraps an existing corpus as a search engine. The engine's
+// term streams and tables live in its own vocabulary; only the BM25
+// index interns into the corpus dictionary.
 func NewEngine(c *textdb.Corpus) *Engine {
-	return &Engine{corpus: c, index: textdb.BuildIndex(c)}
+	e := &Engine{
+		corpus: c,
+		index:  textdb.BuildIndex(c),
+		vocab:  map[string]int32{},
+		titles: make([]tokenStream, c.Len()),
+		texts:  make([]tokenStream, c.Len()),
+	}
+	for i, doc := range c.Docs() {
+		e.titles[i] = e.stream(doc.Title)
+		e.texts[i] = e.stream(doc.Text)
+	}
+	e.terms = make([]termInfo, len(e.words))
+	for id, w := range e.words {
+		e.terms[id] = termInfo{
+			stop:  lang.IsStopword(w),
+			short: len(w) <= 1,
+			df:    int32(e.index.DocFreq(w)),
+		}
+	}
+	return e
+}
+
+// stream tokenizes text into the engine's vocabulary.
+func (e *Engine) stream(text string) tokenStream {
+	toks := lang.Tokenize(text)
+	s := tokenStream{ids: make([]int32, len(toks)), phraseStart: make([]bool, len(toks))}
+	for i, t := range toks {
+		id, ok := e.vocab[t.Norm]
+		if !ok {
+			id = int32(len(e.words))
+			e.vocab[t.Norm] = id
+			e.words = append(e.words, t.Norm)
+		}
+		s.ids[i] = id
+		s.phraseStart[i] = t.PhraseStart
+	}
+	return s
 }
 
 // DocFreqFraction returns the fraction of indexed pages containing the
@@ -72,7 +136,7 @@ func (e *Engine) Search(query string, k int) []Result {
 		doc := e.corpus.Doc(h.Doc)
 		out = append(out, Result{
 			Title:   doc.Title,
-			Snippet: textdb.Snippet(doc, query, 24),
+			Snippet: textdb.Snippet(doc, query, snippetTokens),
 		})
 	}
 	return out
@@ -106,69 +170,120 @@ func (r *Resource) Name() string { return "Google" }
 // Context queries the engine with the term and returns the most frequent
 // words and phrases across the returned titles and snippets, excluding
 // the query's own words.
+//
+// Titles and snippets are the stored term streams of the result pages;
+// a snippet is the window textdb.Snippet would cut (the whole text of a
+// page of at most snippetTokens tokens), so the counts equal those over
+// the re-tokenized result text. Words and bigrams are counted as integer
+// keys, and only terms counted at least minSupport times become strings.
 func (r *Resource) Context(term string) []string {
 	if r.clock != nil {
 		r.clock.Charge(r.Name(), remote.GooglePerQuery)
 	}
-	results := r.engine.Search(term, r.kResults)
-	if len(results) == 0 {
+	e := r.engine
+	hits := e.index.Search(term, r.kResults)
+	if len(hits) == 0 {
 		return nil
 	}
-	queryWords := map[string]bool{}
+	// The query's own words are excluded from the context; the query's
+	// non-stopword tokens place the snippet window. A word the pages never
+	// use matches no stored token, so it needs no ID.
+	var exclude, match []int32
 	for _, w := range strings.Fields(lang.NormalizePhrase(term)) {
-		queryWords[w] = true
+		if id, ok := e.vocab[w]; ok {
+			exclude = append(exclude, id)
+		}
 	}
-	freq := map[string]int{}
-	var order []string
-	count := func(text string) {
-		for _, sent := range lang.Phrases(lang.Tokenize(text)) {
-			words := lang.Norms(sent)
-			for i, w := range words {
-				if len(w) > 1 && !lang.IsStopword(w) && !queryWords[w] {
-					if freq[w] == 0 {
-						order = append(order, w)
-					}
-					freq[w]++
-				}
-				if i+2 <= len(words) {
-					a, b := words[i], words[i+1]
-					if lang.IsStopword(a) || lang.IsStopword(b) || queryWords[a] || queryWords[b] {
-						continue
-					}
-					p := a + " " + b
-					if freq[p] == 0 {
-						order = append(order, p)
-					}
-					freq[p]++
-				}
+	for _, t := range lang.Tokenize(term) {
+		if id, ok := e.vocab[t.Norm]; ok && !lang.IsStopword(t.Norm) {
+			match = append(match, id)
+		}
+	}
+
+	// Every counted occurrence of a word or bigram appends its key;
+	// sorting the keys then lines each term's occurrences up in one run.
+	n := 0
+	for _, h := range hits {
+		n += len(e.titles[h.Doc].ids) + min(len(e.texts[h.Doc].ids), snippetTokens)
+	}
+	keys := make([]uint64, 0, 2*n)
+	count := func(s tokenStream, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			a := s.ids[i]
+			ta := e.terms[a]
+			aOut := slices.Contains(exclude, a)
+			if !ta.short && !ta.stop && !aOut {
+				keys = append(keys, termKey(a, -1))
 			}
+			if i+1 == hi || s.phraseStart[i+1] {
+				continue
+			}
+			b := s.ids[i+1]
+			if ta.stop || aOut || e.terms[b].stop || slices.Contains(exclude, b) {
+				continue
+			}
+			keys = append(keys, termKey(a, b))
 		}
 	}
-	for _, res := range results {
-		count(res.Title)
-		count(res.Snippet)
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if freq[order[a]] != freq[order[b]] {
-			return freq[order[a]] > freq[order[b]]
+	var matched []bool
+	for _, h := range hits {
+		count(e.titles[h.Doc], 0, len(e.titles[h.Doc].ids))
+		text := e.texts[h.Doc]
+		lo, hi := 0, len(text.ids)
+		if hi > snippetTokens {
+			matched = slices.Grow(matched[:0], hi)[:hi]
+			for i, id := range text.ids {
+				matched[i] = slices.Contains(match, id)
+			}
+			lo = textdb.SnippetWindow(matched, snippetTokens)
+			hi = lo + snippetTokens
 		}
-		return order[a] < order[b]
+		count(text, lo, hi)
+	}
+	slices.Sort(keys)
+
+	// Low-support terms are dropped before the ranking sort: the ranking
+	// (frequency descending, then term) is a total order over distinct
+	// terms, so the survivors keep the order they have among all terms.
+	type counted struct {
+		term string
+		freq int
+		df   int32 // bounds the pages holding the term; exact for a word
+	}
+	var ranked []counted
+	for i, j := 0, 0; i < len(keys); i = j {
+		for j = i + 1; j < len(keys) && keys[j] == keys[i]; j++ {
+		}
+		if j-i < minSupport {
+			continue
+		}
+		a, b := int32(keys[i]>>32), int32(uint32(keys[i]))-1
+		c := counted{term: e.words[a], freq: j - i, df: e.terms[a].df}
+		if b >= 0 {
+			c.term += " " + e.words[b]
+			c.df = min(c.df, e.terms[b].df)
+		}
+		ranked = append(ranked, c)
+	}
+	slices.SortFunc(ranked, func(x, y counted) int {
+		if x.freq != y.freq {
+			return y.freq - x.freq
+		}
+		return strings.Compare(x.term, y.term)
 	})
-	// Keep terms that appear in at least two results' text (low-support terms are
-	// snippet noise), and drop web-wide boilerplate: a term occurring on a
-	// large fraction of ALL pages carries no query-specific signal. Real
-	// web-scale frequency mining has this property implicitly — no single
-	// query inflates the web-wide background — so the explicit cut only
-	// corrects for the reduced scale of the simulated web.
+	// Drop web-wide boilerplate: a term occurring on a large fraction of
+	// ALL pages carries no query-specific signal. Real web-scale frequency
+	// mining has this property implicitly — no single query inflates the
+	// web-wide background — so the explicit cut only corrects for the
+	// reduced scale of the simulated web. The fraction is
+	// DocFreqFraction's: a bigram takes its rarer word's.
+	pages := float64(e.corpus.Len())
 	var out []string
-	for _, t := range order {
-		if freq[t] < 3 {
+	for _, c := range ranked {
+		if float64(c.df)/pages > maxBackgroundDF {
 			continue
 		}
-		if r.engine.DocFreqFraction(t) > maxBackgroundDF {
-			continue
-		}
-		out = append(out, t)
+		out = append(out, c.term)
 		if len(out) >= r.mTerms {
 			break
 		}
@@ -176,6 +291,18 @@ func (r *Resource) Context(term string) []string {
 	return out
 }
 
-// maxBackgroundDF is the boilerplate cutoff: terms present on more than
-// this fraction of all pages are never returned as context.
-const maxBackgroundDF = 0.12
+// termKey packs a word (b < 0) or the bigram "a b" into one sort key.
+func termKey(a, b int32) uint64 {
+	return uint64(a)<<32 | uint64(uint32(b+1))
+}
+
+const (
+	// snippetTokens is the snippet length in tokens, as Search cuts it.
+	snippetTokens = 24
+	// minSupport is the fewest occurrences across the result titles and
+	// snippets a returned term needs; rarer terms are snippet noise.
+	minSupport = 3
+	// maxBackgroundDF is the boilerplate cutoff: terms present on more
+	// than this fraction of all pages are never returned as context.
+	maxBackgroundDF = 0.12
+)

@@ -31,37 +31,40 @@ func (e *TitleExtractor) Name() string { return "Wikipedia" }
 // downstream resources, which all resolve through the same redirect
 // table — and the Wikipedia Synonyms resource in particular exists to
 // map surface variants to their canonical entry.
+//
+// Spans of token norms are looked up without lang.NormalizePhrase: a
+// token starts and ends on a letter or digit and holds no whitespace, so
+// its norm, and a space-joined run of norms, is already normalized. A
+// position whose word starts no title or redirect is skipped, and the
+// longest span tried is the longest title starting with that word.
 func (e *TitleExtractor) Extract(text string) []string {
-	tokens := lang.Tokenize(text)
-	words := lang.Norms(tokens)
-	maxN := e.w.MaxTitleWords()
-	if maxN > 6 {
-		maxN = 6
-	}
+	words := lang.Norms(lang.Tokenize(text))
 	var out []string
 	seen := map[string]bool{}
-	i := 0
-	for i < len(words) {
-		matched := 0
-		for n := min(maxN, len(words)-i); n >= 1; n-- {
-			span := strings.Join(words[i:i+n], " ")
-			if _, ok := e.w.Resolve(span); ok {
+	for i := 0; i < len(words); {
+		// Try the longest span first; each shorter one is its prefix.
+		n := min(e.w.titleStarts[words[i]], maxTitleSpan, len(words)-i)
+		span := strings.Join(words[i:i+n], " ")
+		for ; n > 0; n-- {
+			if _, ok := e.w.resolveNorm(span); ok {
 				if !seen[span] {
 					seen[span] = true
 					out = append(out, span)
 				}
-				matched = n
 				break
 			}
+			if n > 1 {
+				span = span[:len(span)-len(words[i+n-1])-1]
+			}
 		}
-		if matched > 0 {
-			i += matched
-			continue
-		}
-		i++
+		// n is the matched span's length, 0 when none matched.
+		i += max(n, 1)
 	}
 	return out
 }
+
+// maxTitleSpan bounds the words in a span the title extractor matches.
+const maxTitleSpan = 6
 
 // GraphResource derives context terms from the Wikipedia link graph: the
 // entries linked from the queried entry, scored by the paper's
@@ -107,7 +110,7 @@ func (r *GraphResource) Context(term string) []string {
 		}
 		score := math.Log(n/float64(in2)) / float64(out1)
 		scored = append(scored, ScoredTerm{
-			Term:  lang.NormalizePhrase(r.w.Page(link.Target).Title),
+			Term:  r.w.normTitle[link.Target],
 			Score: score,
 		})
 	}
@@ -149,11 +152,11 @@ func (r *SynonymResource) Name() string { return "Wikipedia Synonyms" }
 // Context returns the synonyms of the term: canonical title, redirect
 // variants, and high-scoring anchors, excluding the query form itself.
 func (r *SynonymResource) Context(term string) []string {
-	page, ok := r.w.Resolve(term)
+	query := lang.NormalizePhrase(term)
+	page, ok := r.w.resolveNorm(query)
 	if !ok {
 		return nil
 	}
-	query := lang.NormalizePhrase(term)
 	var out []string
 	seen := map[string]bool{query: true}
 	add := func(s string) {
@@ -162,11 +165,11 @@ func (r *SynonymResource) Context(term string) []string {
 			out = append(out, s)
 		}
 	}
-	add(lang.NormalizePhrase(page.Title))
-	for _, v := range r.w.RedirectGroup(page.ID) {
+	add(r.w.normTitle[page.ID])
+	for _, v := range r.w.redirectGroup[page.ID] {
 		add(v)
 	}
-	for _, a := range r.w.AnchorsFor(page.ID) {
+	for _, a := range r.w.anchors[page.ID] {
 		if a.Score >= r.minAnchorScore {
 			add(a.Term)
 		}

@@ -21,6 +21,7 @@ package wiki
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -58,12 +59,16 @@ type Wiki struct {
 	inDeg  []int
 	outDeg []int
 
-	// anchorTF[anchor][page] = number of links using this anchor text for
-	// this target page; anchorPages[anchor] = number of distinct target
-	// pages the anchor points to (the f(p) of the paper's s(p,t) score).
-	anchorTF map[string]map[PageID]int
-
-	maxTitleWords int
+	// Per-page answers derived once at Build, so a lookup costs in
+	// proportion to its answer rather than to the tables: normTitle[id]
+	// is the page's normalized title, redirectGroup[id] its RedirectGroup
+	// and anchors[id] its AnchorsFor. titleStarts maps the first word of
+	// every registered title and redirect to the most words any of those
+	// starting with it has.
+	normTitle     []string
+	redirectGroup [][]string
+	anchors       [][]ScoredTerm
+	titleStarts   map[string]int
 }
 
 // Config controls wiki generation.
@@ -92,7 +97,6 @@ func Build(kb *ontology.KB, cfg Config) (*Wiki, error) {
 		kb:        kb,
 		byTitle:   make(map[string]PageID, kb.Len()),
 		redirects: make(map[string]PageID),
-		anchorTF:  make(map[string]map[PageID]int),
 	}
 	rng := xrand.New(cfg.Seed).Sub("wiki")
 
@@ -102,11 +106,9 @@ func Build(kb *ontology.KB, cfg Config) (*Wiki, error) {
 		p := &Page{ID: PageID(len(w.pages)), Title: c.Display, Concept: c.ID}
 		w.pages = append(w.pages, p)
 		norm := lang.NormalizePhrase(c.Display)
+		w.normTitle = append(w.normTitle, norm)
 		if _, taken := w.byTitle[norm]; !taken {
 			w.byTitle[norm] = p.ID
-		}
-		if n := len(strings.Fields(norm)); n > w.maxTitleWords {
-			w.maxTitleWords = n
 		}
 		for _, v := range c.Variants {
 			nv := lang.NormalizePhrase(v)
@@ -118,14 +120,32 @@ func Build(kb *ontology.KB, cfg Config) (*Wiki, error) {
 			}
 			if _, taken := w.redirects[nv]; !taken {
 				w.redirects[nv] = p.ID
-				if n := len(strings.Fields(nv)); n > w.maxTitleWords {
-					w.maxTitleWords = n
-				}
 			}
 		}
 	}
 
-	// Pass 2: wire links and generate text.
+	w.titleStarts = make(map[string]int)
+	for _, table := range []map[string]PageID{w.byTitle, w.redirects} {
+		for title := range table {
+			words := strings.Fields(title)
+			if len(words) > 0 && len(words) > w.titleStarts[words[0]] {
+				w.titleStarts[words[0]] = len(words)
+			}
+		}
+	}
+	w.redirectGroup = make([][]string, len(w.pages))
+	for v, id := range w.redirects {
+		w.redirectGroup[id] = append(w.redirectGroup[id], v)
+	}
+	for _, group := range w.redirectGroup {
+		sort.Strings(group)
+	}
+
+	// Pass 2: wire links and generate text. anchorTF[anchor][page] is
+	// the number of links using this anchor text for this target page;
+	// len(anchorTF[anchor]) is the number of distinct target pages the
+	// anchor points to (the f(p) of the paper's s(p,t) score).
+	anchorTF := make(map[string]map[PageID]int)
 	w.inDeg = make([]int, len(w.pages))
 	w.outDeg = make([]int, len(w.pages))
 	for _, p := range w.pages {
@@ -169,12 +189,26 @@ func Build(kb *ontology.KB, cfg Config) (*Wiki, error) {
 			w.outDeg[p.ID]++
 			w.inDeg[tp.ID]++
 			na := lang.NormalizePhrase(anchor)
-			if w.anchorTF[na] == nil {
-				w.anchorTF[na] = map[PageID]int{}
+			if anchorTF[na] == nil {
+				anchorTF[na] = map[PageID]int{}
 			}
-			w.anchorTF[na][tp.ID]++
+			anchorTF[na][tp.ID]++
 		}
 		p.Text = w.generateText(prng, c)
+	}
+	w.anchors = make([][]ScoredTerm, len(w.pages))
+	for anchor, tfs := range anchorTF {
+		for id, tf := range tfs {
+			w.anchors[id] = append(w.anchors[id], ScoredTerm{Term: anchor, Score: float64(tf) / float64(len(tfs))})
+		}
+	}
+	for _, list := range w.anchors {
+		sort.Slice(list, func(a, b int) bool {
+			if list[a].Score != list[b].Score {
+				return list[a].Score > list[b].Score
+			}
+			return list[a].Term < list[b].Term
+		})
 	}
 	if len(w.pages) == 0 {
 		return nil, fmt.Errorf("wiki: empty knowledge base")
@@ -281,7 +315,11 @@ func (w *Wiki) Pages() []*Page { return w.pages }
 // Resolve maps a (possibly variant) title to its page, following
 // redirects, mirroring Wikipedia's title resolution.
 func (w *Wiki) Resolve(title string) (*Page, bool) {
-	norm := lang.NormalizePhrase(title)
+	return w.resolveNorm(lang.NormalizePhrase(title))
+}
+
+// resolveNorm is Resolve for a title already in lang.NormalizePhrase form.
+func (w *Wiki) resolveNorm(norm string) (*Page, bool) {
 	if id, ok := w.byTitle[norm]; ok {
 		return w.pages[id], true
 	}
@@ -297,37 +335,16 @@ func (w *Wiki) InDegree(id PageID) int  { return w.inDeg[id] }
 func (w *Wiki) OutDegree(id PageID) int { return w.outDeg[id] }
 
 // RedirectGroup returns all registered variant titles (normalized) that
-// redirect to the page, sorted.
+// redirect to the page, sorted. The slice is the caller's own.
 func (w *Wiki) RedirectGroup(id PageID) []string {
-	var out []string
-	for v, pid := range w.redirects {
-		if pid == id {
-			out = append(out, v)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return slices.Clone(w.redirectGroup[id])
 }
 
 // AnchorsFor returns the anchor texts (normalized) used across the wiki to
 // link to the page, with their s(p,t) = tf(p,t)/f(p) scores, sorted by
-// score descending then text.
+// score descending then text. The slice is the caller's own.
 func (w *Wiki) AnchorsFor(id PageID) []ScoredTerm {
-	var out []ScoredTerm
-	for anchor, tfs := range w.anchorTF {
-		tf, ok := tfs[id]
-		if !ok {
-			continue
-		}
-		out = append(out, ScoredTerm{Term: anchor, Score: float64(tf) / float64(len(tfs))})
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Score != out[b].Score {
-			return out[a].Score > out[b].Score
-		}
-		return out[a].Term < out[b].Term
-	})
-	return out
+	return slices.Clone(w.anchors[id])
 }
 
 // ScoredTerm pairs a normalized term with a score.
@@ -335,7 +352,3 @@ type ScoredTerm struct {
 	Term  string
 	Score float64
 }
-
-// MaxTitleWords returns the longest registered title length in words;
-// the title extractor uses it to bound n-gram scanning.
-func (w *Wiki) MaxTitleWords() int { return w.maxTitleWords }

@@ -44,6 +44,57 @@ func TestExtractFacetsContextCancellation(t *testing.T) {
 	}
 }
 
+// cancelingResource answers every lookup with nothing. Once armed with
+// a cancel function it counts its lookups and cancels on each.
+type cancelingResource struct {
+	cancel context.CancelFunc
+	calls  int
+}
+
+func (r *cancelingResource) Name() string { return "Canceling" }
+
+func (r *cancelingResource) Context(string) []string {
+	r.calls++
+	if r.cancel != nil {
+		r.cancel()
+	}
+	return nil
+}
+
+// TestBuildHierarchyContextCancelsAssignment: a context canceled during
+// document assignment stops BuildHierarchyWithContext with
+// context.Canceled after a document's worth of lookups, not a full pass.
+func TestBuildHierarchyContextCancelsAssignment(t *testing.T) {
+	env := testEnv(t)
+	docs, err := env.GenerateNewsCorpus("SNYT", 120, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canceling := &cancelingResource{}
+	sys, err := NewSystem(env, Options{TopK: 100, Workers: 1, ExtraResources: []ContextResource{canceling}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range docs {
+		sys.Add(d)
+	}
+	res, err := sys.ExtractFacets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Assignment repeats Step 2's lookups, one per distinct important term.
+	fullPass := canceling.calls
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	canceling.cancel, canceling.calls = cancel, 0
+	if _, err := res.BuildHierarchyWithContext(ctx, ""); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if canceling.calls == 0 || canceling.calls*10 > fullPass {
+		t.Fatalf("canceled assignment made %d lookups; a full pass makes %d", canceling.calls, fullPass)
+	}
+}
+
 // TestStageReport: the result carries wall-clock timing for every
 // pipeline stage in execution order, and BuildHierarchy appends its own
 // stage.
