@@ -33,9 +33,14 @@ type Dictionary struct {
 	terms  []string
 }
 
-// NewDictionary returns an empty dictionary.
+// NewDictionary returns an empty dictionary. Its map grows with use
+// rather than being sized up front: a dictionary may stay empty (a
+// generated news corpus), hold about a thousand terms (a shard) or tens
+// of thousands (a system's corpus with its phrases), and a table sized
+// for 1<<16 terms costs about 3.5 MB to allocate and zero, and then to
+// keep live and scan, in every one.
 func NewDictionary() *Dictionary {
-	return &Dictionary{byTerm: make(map[string]TermID, 1<<16)}
+	return &Dictionary{byTerm: map[string]TermID{}}
 }
 
 // Intern returns the ID for the term, assigning a new one if needed.

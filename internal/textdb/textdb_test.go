@@ -2,6 +2,7 @@ package textdb
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -40,6 +41,32 @@ func TestDictionarySortedIDs(t *testing.T) {
 	want := []string{"apple", "mango", "zebra"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v", got)
+	}
+}
+
+// TestEmptyTablesStartSmall: every corpus, shard and generated news
+// corpus gets its own dictionary and index, and a served engine keeps
+// its corpus's for as long as it serves, so an empty one must not
+// reserve a table sized for a large vocabulary.
+func TestEmptyTablesStartSmall(t *testing.T) {
+	const n, limit = 100, 4 << 10
+	perCall := func(build func() any) uint64 {
+		kept := make([]any, n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range kept {
+			kept[i] = build()
+		}
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(kept)
+		return (after.TotalAlloc - before.TotalAlloc) / n
+	}
+	if got := perCall(func() any { return NewDictionary() }); got > limit {
+		t.Errorf("an empty dictionary allocates %d bytes, want at most %d", got, limit)
+	}
+	empty := NewCorpus()
+	if got := perCall(func() any { return BuildIndex(empty) }); got > limit {
+		t.Errorf("an empty corpus's index allocates %d bytes, want at most %d", got, limit)
 	}
 }
 
