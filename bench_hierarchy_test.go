@@ -3,6 +3,7 @@ package facet
 import (
 	"encoding/json"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/eval"
@@ -36,6 +37,10 @@ func TestBenchHierarchySchema(t *testing.T) {
 	if len(got.Points) < 4 {
 		t.Fatalf("%d points, want one per registered builder (>= 4)", len(got.Points))
 	}
+	// A point without the judged precision would read as 0.
+	if n := strings.Count(string(data), `"judged":`); n != len(got.Points) {
+		t.Fatalf("%d of %d points carry judged", n, len(got.Points))
+	}
 	seen := map[string]bool{}
 	for _, p := range got.Points {
 		if p.Builder == "" || seen[p.Builder] {
@@ -45,7 +50,7 @@ func TestBenchHierarchySchema(t *testing.T) {
 		if p.Nodes < 0 || p.Roots < 0 || p.Millis < 0 {
 			t.Fatalf("malformed point %+v", p)
 		}
-		for _, v := range []float64{p.OrphanRate, p.Precision, p.Recall} {
+		for _, v := range []float64{p.OrphanRate, p.Precision, p.Recall, p.Judged} {
 			if v < 0 || v > 1 {
 				t.Fatalf("rate outside [0,1] in point %+v", p)
 			}

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	experiments [-run all|table1|figure4|figure5|table2..table7|sensitivity|efficiency|userstudy|ablation|stagereport|hierarchy|hierarchybakeoff|faultreport|overloadreport|resourceablation]
+//	experiments [-run all|table1|figure4|figure5|table2..table7|sensitivity|efficiency|userstudy|ablation|stagereport|hierarchybakeoff|faultreport|overloadreport|resourceablation]
 //	            [-full] [-docs N] [-seed N] [-workers N] [-hierarchy NAME] [-resources ...] [-out FILE]
 //
 // By default the datasets are scaled down (SNYT 1000 / SNB 3000 / MNYT
@@ -33,7 +33,7 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	run := flag.String("run", "all", "experiment to run (all, table1, figure4, figure5, table2..table7, sensitivity, efficiency, userstudy, ablation, stagereport, hierarchy, hierarchybakeoff, faultreport, overloadreport, resourceablation)")
+	run := flag.String("run", "all", "experiment to run (all, table1, figure4, figure5, table2..table7, sensitivity, efficiency, userstudy, ablation, stagereport, hierarchybakeoff, faultreport, overloadreport, resourceablation)")
 	full := flag.Bool("full", false, "use the paper's full dataset sizes (17k/30k documents)")
 	docs := flag.Int("docs", 0, "force every dataset profile to this many documents (0 = profile defaults; used by the CI bake-off smoke)")
 	seed := flag.Uint64("seed", 42, "master seed")
@@ -257,18 +257,6 @@ func runAll(w io.Writer, cfg runConfig) error {
 		if err := stageReport(w, seed, workers, cfg.hierarchy, cfg.resources); err != nil {
 			return err
 		}
-	}
-	if want("hierarchy") {
-		dr, err := runFor("SNYT")
-		if err != nil {
-			return err
-		}
-		section("Hierarchy construction comparison (Section VI/VII conjecture)")
-		res, err := eval.CompareHierarchies(dr, 100)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, res.Format())
 	}
 	if want("hierarchybakeoff") {
 		dr, err := runFor("SNYT")

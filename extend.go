@@ -46,29 +46,12 @@ func NewGlossaryResource(name string, thesaurus map[string][]string) (ContextRes
 	return core.NewGlossaryResource(name, thesaurus)
 }
 
-// HierarchyMethod selects the hierarchy-construction algorithm by
-// registry name (see hierarchy.Names for the full set). The historical
-// constants below are the names of the three original strategies; any
-// registered builder name — e.g. "agglomerative" — is equally valid.
-type HierarchyMethod string
-
-const (
-	// HierarchySubsumption is the paper's choice (Sanderson & Croft 1999).
-	HierarchySubsumption HierarchyMethod = "subsumption"
-	// HierarchyEvidence combines subsumption with WordNet-hypernym and
-	// Wikipedia-link evidence (the Snow-style improvement the paper
-	// anticipates: "newer algorithms may give even better results").
-	HierarchyEvidence HierarchyMethod = "evidence"
-	// HierarchyTreeMin is the Stoica–Hearst prior-work baseline: WordNet
-	// hypernym paths merged and minimized, no co-occurrence signal.
-	HierarchyTreeMin HierarchyMethod = "treemin"
-)
-
 // BuildHierarchyWith is BuildHierarchy with an explicit construction
-// method: any registered hierarchy.Builder name. The empty string
-// selects Options.HierarchyBuilder, then "subsumption". Its wall-clock
-// cost is recorded as the build_hierarchy stage of Result.StageReport.
-func (r *Result) BuildHierarchyWith(method HierarchyMethod) (*Hierarchy, error) {
+// method: any registered hierarchy.Builder name (see hierarchy.Names).
+// The empty string selects Options.HierarchyBuilder, then "subsumption".
+// Its wall-clock cost is recorded as the build_hierarchy stage of
+// Result.StageReport.
+func (r *Result) BuildHierarchyWith(method string) (*Hierarchy, error) {
 	return r.BuildHierarchyWithContext(context.Background(), method)
 }
 
@@ -77,16 +60,16 @@ func (r *Result) BuildHierarchyWith(method HierarchyMethod) (*Hierarchy, error) 
 // O(terms²) parent-selection sweep between terms, so a caller-imposed
 // deadline aborts hierarchy construction promptly instead of completing
 // the full assignment and pairwise pass.
-func (r *Result) BuildHierarchyWithContext(ctx context.Context, method HierarchyMethod) (*Hierarchy, error) {
+func (r *Result) BuildHierarchyWithContext(ctx context.Context, method string) (*Hierarchy, error) {
 	if r.stages != nil {
 		defer r.stages.Start("build_hierarchy")()
 	}
-	name := string(method)
+	name := method
 	if name == "" {
 		name = r.sys.opts.HierarchyBuilder
 	}
 	if name == "" {
-		name = string(HierarchySubsumption)
+		name = "subsumption"
 	}
 	b, ok := hierarchy.Lookup(name)
 	if !ok {
@@ -107,63 +90,18 @@ func (r *Result) BuildHierarchyWithContext(ctx context.Context, method Hierarchy
 
 // hierarchyBuildConfig assembles the shared BuildConfig every registered
 // builder draws from: the session's threshold and worker knobs plus the
-// environment-backed taxonomy wiring (WordNet-hypernym and
-// Wikipedia-link evidence sources for the "evidence" builder, hypernym
-// chains for "treemin"). Builders ignore the options that do not apply
-// to them, so one config serves the whole registry.
+// environment's taxonomy wiring (hierarchy.Taxonomy: evidence sources for
+// the "evidence" builder, hypernym chains for "treemin"). Builders ignore
+// the options that do not apply to them, so one config serves the whole
+// registry.
 func (s *System) hierarchyBuildConfig() hierarchy.BuildConfig {
-	env := s.env
-	wnEvidence := hierarchy.EvidenceFunc{
-		EvidenceName: "wordnet-hypernym",
-		Fn: func(parent, child string) float64 {
-			lemma, ok := env.wnet.Morphy(child)
-			if !ok {
-				return 0
-			}
-			for _, h := range env.wnet.Hypernyms(lemma, 6) {
-				if h == parent {
-					return 1
-				}
-			}
-			return 0
-		},
-	}
-	wikiEvidence := hierarchy.EvidenceFunc{
-		EvidenceName: "wikipedia-link",
-		Fn: func(parent, child string) float64 {
-			cp, ok := env.wiki.Resolve(child)
-			if !ok {
-				return 0
-			}
-			pp, ok := env.wiki.Resolve(parent)
-			if !ok {
-				return 0
-			}
-			for _, l := range cp.Links {
-				if l.Target == pp.ID {
-					return 1
-				}
-			}
-			return 0
-		},
-	}
-	chains := hierarchy.ChainFunc(func(term string) []string {
-		lemma, ok := env.wnet.Morphy(term)
-		if !ok {
-			return nil
-		}
-		return env.wnet.Hypernyms(lemma, 8)
-	})
+	evidence, chains := hierarchy.Taxonomy(s.env.wnet, s.env.wiki)
 	return hierarchy.BuildConfig{
 		Threshold: s.opts.SubsumptionThreshold,
 		Workers:   parallel.Workers(s.opts.Workers),
 		Metrics:   s.metrics, // surfaces hierarchy.pairs.* pruning counters; nil disables
-		Evidence: hierarchy.EvidenceOptions{
-			Sources:   []hierarchy.TaxonomicEvidence{wnEvidence, wikiEvidence},
-			Weights:   []float64{0.5, 0.5},
-			Threshold: 0.6,
-		},
-		Chains: chains,
+		Evidence:  evidence,
+		Chains:    chains,
 	}
 }
 

@@ -34,7 +34,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 
@@ -173,7 +172,8 @@ type Options struct {
 	// are all dark degrades to corpus-only context instead of running
 	// context-free. Result.FallbackLookups counts the rescues.
 	CorpusFallback bool
-	// SubsumptionThreshold is θ for hierarchy construction (default 0.8).
+	// SubsumptionThreshold is θ for hierarchy construction, in [0,1]
+	// (0 selects the default 0.8).
 	SubsumptionThreshold float64
 	// HierarchyBuilder selects the hierarchy-construction strategy by
 	// registry name ("subsumption", "evidence", "treemin",
@@ -220,6 +220,9 @@ func NewSystem(env *Environment, opts Options) (*System, error) {
 	}
 	if opts.Workers < 0 {
 		return nil, fmt.Errorf("facet: negative Workers")
+	}
+	if th := opts.SubsumptionThreshold; math.IsNaN(th) || th < 0 || th > 1 {
+		return nil, fmt.Errorf("facet: SubsumptionThreshold %v outside [0,1]", th)
 	}
 	for _, e := range opts.Extractors {
 		switch e {
@@ -322,7 +325,9 @@ func (s *System) buildResources() []core.Resource {
 // (see StageReport). An empty corpus yields an inert model that answers
 // nil for every term.
 func (s *System) buildDistributional() core.Resource {
-	important, err := core.IdentifyImportantWorkers(context.Background(), s.corpus, s.buildExtractors(), 0, s.opts.Workers)
+	// Extractor degradations are reported when the pipeline proper runs
+	// Step 1 again.
+	important, _, err := core.IdentifyImportantReport(context.Background(), s.corpus, s.buildExtractors(), 0, s.opts.Workers)
 	if err != nil {
 		important = nil
 	}
@@ -523,43 +528,15 @@ func (r *Result) BuildHierarchy() (*Hierarchy, error) {
 	return r.BuildHierarchyWith("")
 }
 
-// assignDocTerms computes the document-to-facet assignment: terms from
-// the document text, plus context terms corroborated by at least two of
-// the document's important terms (see core.ContextVotes). It stops with
-// ctx's error once ctx is done.
+// assignDocTerms computes the document-to-facet assignment
+// (core.AssignDocTerms) from this run's important terms and resources. It
+// stops with ctx's error once ctx is done.
 func (r *Result) assignDocTerms(ctx context.Context, terms []string) ([][]string, error) {
-	termSet := map[string]bool{}
-	for _, t := range terms {
-		termSet[t] = true
-	}
-	corpus := r.sys.corpus
 	votes, err := core.ContextVotesContext(ctx, r.inner.Important, r.inner.Resources, nil)
 	if err != nil {
 		return nil, err
 	}
-	docTerms := make([][]string, corpus.Len())
-	for d := 0; d < corpus.Len(); d++ {
-		present := map[string]bool{}
-		for _, id := range corpus.DocTerms(textdb.DocID(d)) {
-			if s := corpus.Dict().String(id); termSet[s] {
-				present[s] = true
-			}
-		}
-		need := 2
-		if len(r.inner.Important[d]) < 2 {
-			need = 1
-		}
-		for c, v := range votes[d] {
-			if v >= need && termSet[c] {
-				present[c] = true
-			}
-		}
-		for t := range present {
-			docTerms[d] = append(docTerms[d], t)
-		}
-		sort.Strings(docTerms[d])
-	}
-	return docTerms, nil
+	return core.AssignDocTerms(r.sys.corpus, r.inner.Important, votes, terms), nil
 }
 
 // Roots returns the top-level facets.

@@ -68,11 +68,11 @@ func TestParallelSequentialEquivalence(t *testing.T) {
 
 	// The evidence-combination builder shards its pairwise evidence
 	// counting too; it must be just as deterministic.
-	seqEv, err := seqRes.BuildHierarchyWith(HierarchyEvidence)
+	seqEv, err := seqRes.BuildHierarchyWith("evidence")
 	if err != nil {
 		t.Fatal(err)
 	}
-	parEv, err := parRes.BuildHierarchyWith(HierarchyEvidence)
+	parEv, err := parRes.BuildHierarchyWith("evidence")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package facet
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -44,6 +45,16 @@ func TestNewSystemValidation(t *testing.T) {
 	}
 	if _, err := NewSystem(env, Options{Resources: []string{"bogus"}}); err == nil {
 		t.Fatal("unknown resource accepted")
+	}
+	for _, th := range []float64{-0.1, 1.5, math.NaN(), math.Inf(1)} {
+		if _, err := NewSystem(env, Options{SubsumptionThreshold: th}); err == nil {
+			t.Fatalf("SubsumptionThreshold %v accepted", th)
+		}
+	}
+	for _, th := range []float64{0, 0.5, 1} {
+		if _, err := NewSystem(env, Options{SubsumptionThreshold: th}); err != nil {
+			t.Fatalf("SubsumptionThreshold %v rejected: %v", th, err)
+		}
 	}
 }
 
@@ -210,7 +221,7 @@ func TestBuildHierarchyMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []HierarchyMethod{HierarchySubsumption, HierarchyEvidence, HierarchyTreeMin, "agglomerative"} {
+	for _, m := range []string{"subsumption", "evidence", "treemin", "agglomerative"} {
 		h, err := res.BuildHierarchyWith(m)
 		if err != nil {
 			t.Fatalf("method %v: %v", m, err)
@@ -258,7 +269,7 @@ func TestHierarchyBuilderOption(t *testing.T) {
 	if got, want := viaOption.FormatTree(), explicit.FormatTree(); got != want {
 		t.Fatalf("BuildHierarchy() ignored Options.HierarchyBuilder:\n--- option ---\n%s\n--- explicit ---\n%s", got, want)
 	}
-	subsumption, err := res.BuildHierarchyWith(HierarchySubsumption)
+	subsumption, err := res.BuildHierarchyWith("subsumption")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,6 +156,82 @@ func TestGoldenHierarchy(t *testing.T) {
 	compareGolden(t, "hierarchy.txt", []byte(hierarchy.FormatTree(g.hier.forest)))
 }
 
+// TestGoldenHierarchySubsumptionPredicate recomputes the golden
+// hierarchy from the facade's document assignment alone, at the defaults
+// BuildHierarchy uses (θ = 0.8, df floor 2, saturation cutoff 0.6). The
+// forest holds exactly the facet terms with df ≥ 2. Every edge y→x (x the
+// parent) has P(x|y) = co/df(y) ≥ θ, P(y|x) = co/df(x) < 1,
+// df(x) > df(y) and df(y) ≤ ⌊0.6·N⌋, and x is the most specific such
+// term (smaller df, then higher P(x|y), then term text); a root has none.
+func TestGoldenHierarchySubsumptionPredicate(t *testing.T) {
+	g := goldenFixture(t)
+	const theta, minDF, maxChildFrac = 0.8, 2, 0.6
+	forest, docTerms := g.hier.forest, g.hier.docTerms
+	isTerm := map[string]bool{}
+	for _, term := range g.res.Terms() {
+		isTerm[term] = true
+	}
+	df := map[string]int{}
+	co := map[[2]string]int{}
+	for _, row := range docTerms {
+		for _, a := range row {
+			if !isTerm[a] {
+				t.Fatalf("assigned term %q is no facet term", a)
+			}
+			df[a]++
+			for _, b := range row {
+				co[[2]string{a, b}]++
+			}
+		}
+	}
+	var alive []string
+	for term := range isTerm {
+		if df[term] >= minDF {
+			alive = append(alive, term)
+		}
+	}
+	if forest.Size() != len(alive) {
+		t.Fatalf("forest has %d terms, %d have df >= %d", forest.Size(), len(alive), minDF)
+	}
+	maxChildDF := int(maxChildFrac * float64(len(docTerms)))
+	subsumes := func(x, y string) (float64, bool) {
+		c := co[[2]string{x, y}]
+		pxy := float64(c) / float64(df[y])
+		return pxy, x != y && df[x] > df[y] && df[y] <= maxChildDF &&
+			pxy >= theta && float64(c)/float64(df[x]) < 1
+	}
+	edges := 0
+	for _, y := range alive {
+		node, ok := forest.Find(y)
+		if !ok {
+			t.Fatalf("term %q (df %d) missing from the forest", y, df[y])
+		}
+		best, bestP := "", 0.0
+		for _, x := range alive {
+			pxy, ok := subsumes(x, y)
+			if ok && (best == "" || df[x] < df[best] ||
+				df[x] == df[best] && (pxy > bestP || pxy == bestP && x < best)) {
+				best, bestP = x, pxy
+			}
+		}
+		switch {
+		case node.Parent == nil && best != "":
+			t.Errorf("%q is a root, but %q subsumes it", y, best)
+		case node.Parent != nil:
+			edges++
+			x := node.Parent.Term
+			if _, ok := subsumes(x, y); !ok {
+				t.Errorf("edge %q→%q fails the predicate (co %d, df %d/%d)", y, x, co[[2]string{x, y}], df[y], df[x])
+			} else if x != best {
+				t.Errorf("%q sits under %q, but %q is the most specific subsumer", y, x, best)
+			}
+		}
+	}
+	if edges == 0 {
+		t.Fatal("golden hierarchy has no edges to check")
+	}
+}
+
 // goldenQuery is one browse query and its pinned answer.
 type goldenQuery struct {
 	Label    string              `json:"label"`

@@ -1,6 +1,7 @@
 package browse
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -33,7 +34,8 @@ func fixture(t *testing.T) (*Interface, *textdb.Corpus) {
 		{"sports", "soccer"},
 		{"europe", "france"},
 	}
-	forest, err := hierarchy.BuildSubsumption(terms, docTerms, hierarchy.SubsumptionConfig{MinDF: 1})
+	builder, _ := hierarchy.Lookup("subsumption")
+	forest, err := builder.Build(context.Background(), terms, docTerms, hierarchy.BuildConfig{MinDF: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +140,8 @@ func TestCross(t *testing.T) {
 func TestBuildValidation(t *testing.T) {
 	corpus := textdb.NewCorpus()
 	corpus.Add(&textdb.Document{Title: "t", Text: "x"})
-	forest, _ := hierarchy.BuildSubsumption(nil, nil, hierarchy.SubsumptionConfig{})
+	builder, _ := hierarchy.Lookup("subsumption")
+	forest, _ := builder.Build(context.Background(), nil, nil, hierarchy.BuildConfig{})
 	if _, err := Build(corpus, forest, nil); err == nil {
 		t.Fatal("expected row-count mismatch error")
 	}
@@ -154,7 +157,8 @@ func TestDateRangeSelection(t *testing.T) {
 			Date: base.AddDate(0, 0, i),
 		})
 	}
-	forest, _ := hierarchy.BuildSubsumption([]string{"war"}, rows(10, "war"), hierarchy.SubsumptionConfig{MinDF: 1})
+	builder, _ := hierarchy.Lookup("subsumption")
+	forest, _ := builder.Build(context.Background(), []string{"war"}, rows(10, "war"), hierarchy.BuildConfig{MinDF: 1})
 	b, err := Build(corpus, forest, rows(10, "war"))
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +196,8 @@ func TestDateHistogram(t *testing.T) {
 			Date: time.Date(2005, month, 1+i, 10, 0, 0, 0, time.UTC),
 		})
 	}
-	forest, _ := hierarchy.BuildSubsumption(nil, nil, hierarchy.SubsumptionConfig{})
+	builder, _ := hierarchy.Lookup("subsumption")
+	forest, _ := builder.Build(context.Background(), nil, nil, hierarchy.BuildConfig{})
 	b, err := Build(corpus, forest, make([][]string, 6))
 	if err != nil {
 		t.Fatal(err)

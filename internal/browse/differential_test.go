@@ -1,6 +1,7 @@
 package browse
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -45,7 +46,8 @@ func datedFixture(t *testing.T) *Interface {
 		{"europe", "france", "soccer", "sports"},
 		{"europe", "germany"},
 	}
-	forest, err := hierarchy.BuildSubsumption(terms, docTerms, hierarchy.SubsumptionConfig{MinDF: 1})
+	builder, _ := hierarchy.Lookup("subsumption")
+	forest, err := builder.Build(context.Background(), terms, docTerms, hierarchy.BuildConfig{MinDF: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -48,7 +49,8 @@ func clusterFixture(t testing.TB, nDocs int) *browse.Interface {
 		docTerms = append(docTerms, groups[i%len(groups)])
 	}
 	terms := []string{"europe", "france", "germany", "sports", "baseball", "soccer"}
-	forest, err := hierarchy.BuildSubsumption(terms, docTerms, hierarchy.SubsumptionConfig{MinDF: 1})
+	builder, _ := hierarchy.Lookup("subsumption")
+	forest, err := builder.Build(context.Background(), terms, docTerms, hierarchy.BuildConfig{MinDF: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

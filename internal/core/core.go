@@ -342,39 +342,23 @@ func (p *Pipeline) RunContext(ctx context.Context, corpus *textdb.Corpus) (*Resu
 	return res, nil
 }
 
-// IdentifyImportant is Step 1 (Figure 1): per document, the union of all
-// extractors' terms, first-extractor-first order preserved. maxPerDoc <= 0
-// means no cap.
-func IdentifyImportant(corpus *textdb.Corpus, extractors []Extractor, maxPerDoc int) [][]string {
-	out, _ := IdentifyImportantContext(context.Background(), corpus, extractors, maxPerDoc)
-	return out
-}
-
-// IdentifyImportantContext is IdentifyImportant with cancellation: every
-// worker checks ctx before each document and the first ctx error aborts
-// the run. Documents are sharded across GOMAXPROCS workers; use
-// IdentifyImportantWorkers for an explicit worker count.
-func IdentifyImportantContext(ctx context.Context, corpus *textdb.Corpus, extractors []Extractor, maxPerDoc int) ([][]string, error) {
-	return IdentifyImportantWorkers(ctx, corpus, extractors, maxPerDoc, 0)
-}
-
-// IdentifyImportantWorkers shards Step 1 across a bounded worker pool
-// (workers <= 0 selects GOMAXPROCS, 1 runs sequentially on the calling
-// goroutine): extraction is CPU-bound and per-document independent, and
-// the built-in extractors are read-only after construction. Output is
-// identical for every worker count — each worker writes only its own
-// documents' slots.
-func IdentifyImportantWorkers(ctx context.Context, corpus *textdb.Corpus, extractors []Extractor, maxPerDoc, workers int) ([][]string, error) {
-	out, _, err := IdentifyImportantReport(ctx, corpus, extractors, maxPerDoc, workers)
-	return out, err
-}
-
-// IdentifyImportantReport is IdentifyImportantWorkers with graceful
-// degradation: an extractor that fails for a document (extractors
-// implementing ExtractorErr can) is skipped for that document, the run
-// proceeds with the surviving extractors, and the gap is quantified in
-// the returned Degradations. Plain extractors never fail, so for them
-// this is exactly IdentifyImportantWorkers.
+// IdentifyImportantReport is Step 1 (Figure 1): per document, the union
+// of all extractors' terms, first-extractor-first order preserved, cut to
+// maxPerDoc terms (maxPerDoc <= 0 means no cap).
+//
+// Documents are sharded across a bounded worker pool (workers <= 0
+// selects GOMAXPROCS, 1 runs sequentially on the calling goroutine):
+// extraction is CPU-bound and per-document independent, and the built-in
+// extractors are read-only after construction. Output is identical for
+// every worker count — each worker writes only its own documents' slots.
+// Every worker checks ctx before each document, and the first ctx error
+// aborts the run.
+//
+// An extractor that fails for a document (extractors implementing
+// ExtractorErr can) is skipped for that document, the run proceeds with
+// the surviving extractors, and the gap is quantified in the returned
+// Degradations. Plain extractors never fail, so for them the report is
+// always empty.
 func IdentifyImportantReport(ctx context.Context, corpus *textdb.Corpus, extractors []Extractor, maxPerDoc, workers int) ([][]string, []Degradation, error) {
 	fallible := make([]ExtractorErr, len(extractors))
 	for i, ex := range extractors {
@@ -419,54 +403,35 @@ func IdentifyImportantReport(ctx context.Context, corpus *textdb.Corpus, extract
 	return out, mergeDegradations("extractor", degs), nil
 }
 
-// DeriveContext is Step 2 (Figure 2): per document, the union of all
-// resources' context terms for each important term, deduplicated. A nil
-// cache allocates a private one.
-func DeriveContext(important [][]string, resources []Resource, cache *ResourceCache) [][]string {
-	out, _ := DeriveContextContext(context.Background(), important, resources, cache)
-	return out
-}
-
-// DeriveContextContext is DeriveContext with cancellation, checked
-// between documents — a canceled expansion stops after at most one
-// document's resource queries. Documents are sharded across GOMAXPROCS
-// workers; use DeriveContextWorkers for an explicit worker count.
-func DeriveContextContext(ctx context.Context, important [][]string, resources []Resource, cache *ResourceCache) ([][]string, error) {
-	return DeriveContextWorkers(ctx, important, resources, cache, 0)
-}
-
-// DeriveContextWorkers shards Step 2 across a bounded worker pool
-// (workers <= 0 selects GOMAXPROCS, 1 runs sequentially). The shared
-// cache is safe for this: lookups are single-flight per (resource,
-// term), so a hot term missed by several workers at once is still
-// derived exactly once. Output is identical for every worker count —
-// per-document rows depend only on that document's important terms.
-func DeriveContextWorkers(ctx context.Context, important [][]string, resources []Resource, cache *ResourceCache, workers int) ([][]string, error) {
-	out, _, err := DeriveContextReport(ctx, important, resources, cache, workers)
-	return out, err
-}
-
-// DeriveContextReport is DeriveContextWorkers with graceful degradation:
-// a resource whose lookup fails permanently (resources implementing
+// DeriveContextFallbackReport is Step 2 (Figure 2): per document, the
+// union of all resources' context terms for each important term,
+// deduplicated — the context rows of the contextualized database C(D).
+// Lookups go through cache; a nil cache allocates a private one.
+//
+// Documents are sharded across a bounded worker pool (workers <= 0
+// selects GOMAXPROCS, 1 runs sequentially). The shared cache is safe for
+// this: lookups are single-flight per (resource, term), so a hot term
+// missed by several workers at once is still derived exactly once.
+// Output is identical for every worker count — per-document rows depend
+// only on that document's important terms. ctx is checked between
+// documents, so a canceled expansion stops after at most one document's
+// resource queries per worker.
+//
+// A resource whose lookup fails permanently (resources implementing
 // ResourceErr can — the resilience layer surfaces exhausted retries and
 // open circuits here) contributes nothing for that (document, term)
 // pair, the expansion proceeds with the surviving resources, and the gap
 // is quantified in the returned Degradations. Failed lookups are never
 // cached, so a recovering resource starts answering again immediately.
-func DeriveContextReport(ctx context.Context, important [][]string, resources []Resource, cache *ResourceCache, workers int) ([][]string, []Degradation, error) {
-	out, degs, _, err := DeriveContextFallbackReport(ctx, important, resources, nil, cache, workers)
-	return out, degs, err
-}
-
-// DeriveContextFallbackReport is DeriveContextReport with a last-resort
-// resource: when fallback is non-nil and EVERY primary resource's lookup
-// failed for a (document, term) pair, the fallback is consulted for that
-// term (through the same cache) and its context merged in; the number of
-// such rescues is returned. When no resource fails — or fallback is nil —
-// the output is exactly DeriveContextReport's, so configuring a fallback
-// never perturbs healthy runs. A failing fallback (it can implement
-// ResourceErr too) is recorded in the degradation report like any
-// resource; the pair then completes context-free as before.
+//
+// fallback is a last-resort resource: when it is non-nil and EVERY
+// primary resource's lookup failed for a (document, term) pair, the
+// fallback is consulted for that term (through the same cache) and its
+// context merged in; the number of such rescues is returned. When no
+// resource fails — or fallback is nil — the fallback is never consulted,
+// so configuring one never perturbs healthy runs. A failing fallback (it
+// can implement ResourceErr too) is recorded in the degradation report
+// like any resource; the pair then completes context-free.
 func DeriveContextFallbackReport(ctx context.Context, important [][]string, resources []Resource, fallback Resource, cache *ResourceCache, workers int) ([][]string, []Degradation, int, error) {
 	if cache == nil {
 		cache = NewResourceCache()
@@ -563,25 +528,18 @@ type AnalyzeOptions struct {
 	Workers int
 }
 
-// ExpandDocTerms builds one document's contextualized term row (the
-// Fig. 2 → Fig. 3 hand-off): the document's own term IDs followed by its
-// context terms, interned and deduplicated. IDs of terms that gained
-// their first occurrence through context — the only terms able to pass
-// Shift_f > 0 — are recorded in ctxSet (when non-nil). scratch is an
-// optional reusable dedup map, cleared on entry; nil allocates one. Both
-// the batch analysis and the live-ingestion delta path build their
+// ExpandDocTermsAppend builds one document's contextualized term row (the
+// Fig. 2 → Fig. 3 hand-off) into dst, appended to and returned like
+// append: the document's own term IDs followed by its context terms,
+// interned and deduplicated. IDs of terms that gained their first
+// occurrence through context — the only terms able to pass Shift_f > 0 —
+// are recorded in ctxSet (when non-nil). scratch is an optional reusable
+// dedup map, cleared on entry; nil allocates one. Both the batch analysis
+// (AnalyzeWith) and the live-ingestion delta path build their
 // contextualized DF tables through this one helper, so the two always
-// agree on what C(D) contains.
-func ExpandDocTerms(dict *textdb.Dictionary, orig []textdb.TermID, context []string, scratch map[textdb.TermID]bool, ctxSet map[textdb.TermID]bool) []textdb.TermID {
-	return ExpandDocTermsAppend(make([]textdb.TermID, 0, len(orig)+len(context)), dict, orig, context, scratch, ctxSet)
-}
-
-// ExpandDocTermsAppend is ExpandDocTerms writing into dst (appended to
-// and returned like append). Callers expanding many documents pass the
+// agree on what C(D) contains. Callers expanding many documents pass the
 // previous row's buffer as dst[:0] so the per-document row costs zero
-// allocations once the buffer and scratch map reach steady-state size —
-// this is the hot path of both the batch analysis (AnalyzeWith) and live
-// ingestion.
+// allocations once the buffer and scratch map reach steady-state size.
 func ExpandDocTermsAppend(dst []textdb.TermID, dict *textdb.Dictionary, orig []textdb.TermID, context []string, scratch map[textdb.TermID]bool, ctxSet map[textdb.TermID]bool) []textdb.TermID {
 	if scratch == nil {
 		scratch = make(map[textdb.TermID]bool, len(orig)+len(context))
@@ -607,12 +565,12 @@ func ExpandDocTermsAppend(dst []textdb.TermID, dict *textdb.Dictionary, orig []t
 
 // ContextVotes returns, per document, how many distinct important terms
 // contributed each context term (through any resource). The pipeline's
-// Step 3 uses the flat union (DeriveContext); document-to-facet
-// ASSIGNMENT for hierarchy population and browsing uses these vote
-// counts: a facet term describes a document only when several of the
-// document's own important terms independently pull it in, which keeps
-// one stray entity mention from tagging the story with a whole unrelated
-// dimension.
+// Step 3 uses the flat union (DeriveContextFallbackReport); document-to-
+// facet ASSIGNMENT for hierarchy population and browsing uses these vote
+// counts (see AssignDocTerms): a facet term describes a document only
+// when several of the document's own important terms independently pull
+// it in, which keeps one stray entity mention from tagging the story with
+// a whole unrelated dimension.
 func ContextVotes(important [][]string, resources []Resource, cache *ResourceCache) []map[string]int {
 	// The background context is never done, so there is no error.
 	out, _ := ContextVotesContext(context.Background(), important, resources, cache)
@@ -648,18 +606,50 @@ func ContextVotesContext(ctx context.Context, important [][]string, resources []
 	return out, nil
 }
 
-// Analyze is Step 3 (Figure 3): comparative term-frequency analysis over
-// the original corpus and its per-document context expansions, with the
-// paper's default options.
-func Analyze(corpus *textdb.Corpus, context [][]string, topK int) *Result {
-	return AnalyzeWith(corpus, context, topK, AnalyzeOptions{})
+// AssignDocTerms is the document-to-facet assignment that hierarchy
+// construction and browsing share: per document, the facet terms (those
+// in terms) occurring in its text, plus the context terms that at least
+// two of its important terms vote for (one when the document has fewer
+// than two important terms), sorted and deduplicated. votes is
+// ContextVotes' output over the same important rows.
+func AssignDocTerms(corpus *textdb.Corpus, important [][]string, votes []map[string]int, terms []string) [][]string {
+	termSet := make(map[string]bool, len(terms))
+	for _, t := range terms {
+		termSet[t] = true
+	}
+	dict := corpus.Dict()
+	docTerms := make([][]string, corpus.Len())
+	for d := 0; d < corpus.Len(); d++ {
+		present := map[string]bool{}
+		for _, id := range corpus.DocTerms(textdb.DocID(d)) {
+			if s := dict.String(id); termSet[s] {
+				present[s] = true
+			}
+		}
+		need := 2
+		if len(important[d]) < 2 {
+			need = 1
+		}
+		for c, v := range votes[d] {
+			if v >= need && termSet[c] {
+				present[c] = true
+			}
+		}
+		for t := range present {
+			docTerms[d] = append(docTerms[d], t)
+		}
+		sort.Strings(docTerms[d])
+	}
+	return docTerms
 }
 
-// AnalyzeWith is Analyze with explicit options. With opts.Workers > 1
-// the DF tables for D and C(D) are accumulated as per-worker delta
-// tables over document shards and merged before scoring; document
-// frequencies are additive across disjoint shards, so the merged tables
-// equal the sequentially built ones.
+// AnalyzeWith is Step 3 (Figure 3): comparative term-frequency analysis
+// over the original corpus D and its per-document context expansions
+// C(D); the zero AnalyzeOptions is the paper's algorithm. With
+// opts.Workers > 1 the DF tables for D and C(D) are accumulated as
+// per-worker delta tables over document shards and merged before
+// scoring; document frequencies are additive across disjoint shards, so
+// the merged tables equal the sequentially built ones.
 func AnalyzeWith(corpus *textdb.Corpus, context [][]string, topK int, opts AnalyzeOptions) *Result {
 	dict := corpus.Dict()
 	n := corpus.Len()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -371,9 +372,16 @@ func TestIdentifyImportantParallelMatchesSequential(t *testing.T) {
 	}
 	corpus := miniCorpus(texts...)
 	ex := fakeExtractor{name: "a", terms: []string{"alpha", "beta", "gamma"}}
-	parallel := IdentifyImportant(corpus, []Extractor{ex}, 0)
+	// workers 0 follows GOMAXPROCS: four workers, then the sequential path.
+	parallel, _, err := IdentifyImportantReport(context.Background(), corpus, []Extractor{ex}, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	runtime.GOMAXPROCS(1)
-	sequential := IdentifyImportant(corpus, []Extractor{ex}, 0)
+	sequential, _, err := IdentifyImportantReport(context.Background(), corpus, []Extractor{ex}, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(parallel, sequential) {
 		t.Fatal("parallel and sequential extraction differ")
 	}
@@ -384,5 +392,40 @@ func TestIdentifyImportantParallelMatchesSequential(t *testing.T) {
 		if len(row) != 3 {
 			t.Fatalf("row %d = %v", i, row)
 		}
+	}
+}
+
+func TestAssignDocTerms(t *testing.T) {
+	corpus := miniCorpus(
+		"baseball game in boston",
+		"boston election",
+		"baseball",
+		"baseball baseball",
+	)
+	important := [][]string{
+		{"baseball", "boston", "red sox"},
+		{"boston"},
+		nil,
+		{"baseball", "pitcher"},
+	}
+	votes := []map[string]int{
+		// "politics" has the votes but is no facet term.
+		{"sports": 2, "city": 1, "politics": 3},
+		// One important term: a single vote suffices.
+		{"city": 1, "politics": 1},
+		nil,
+		// A voted text term is still listed once.
+		{"baseball": 1, "sports": 2, "city": 1},
+	}
+	terms := []string{"baseball", "sports", "city", "election", "zebra"}
+	got := AssignDocTerms(corpus, important, votes, terms)
+	want := [][]string{
+		{"baseball", "sports"},
+		{"city", "election"},
+		{"baseball"},
+		{"baseball", "sports"},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("AssignDocTerms = %v, want %v", got, want)
 	}
 }

@@ -227,8 +227,8 @@ func TestDeriveContextReportDegradation(t *testing.T) {
 		{"gamma"},
 	}
 	for _, workers := range []int{1, 4} {
-		out, degs, err := DeriveContextReport(context.Background(), important,
-			[]Resource{downRes{"dead"}, okRes{"live"}}, nil, workers)
+		out, degs, _, err := DeriveContextFallbackReport(context.Background(), important,
+			[]Resource{downRes{"dead"}, okRes{"live"}}, nil, nil, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -332,7 +332,7 @@ func TestDegradationSkipsCancellation(t *testing.T) {
 	important := [][]string{{"a"}, {"b"}, {"c"}}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, degs, err := DeriveContextReport(ctx, important, []Resource{okRes{"live"}}, nil, 2)
+	_, degs, _, err := DeriveContextFallbackReport(ctx, important, []Resource{okRes{"live"}}, nil, nil, 2)
 	if err == nil {
 		t.Fatal("want error from canceled run")
 	}

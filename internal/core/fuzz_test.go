@@ -16,7 +16,7 @@ var fuzzVocab = [8]string{"paris", "france", "europe", "chirac", "iraq", "war", 
 // buildFuzzTables decodes fuzz bytes into a document collection — two
 // bytes per document: a bitmask of original terms and a bitmask of
 // context terms — and accumulates the DF tables exactly the way the
-// pipeline does (AddDoc over ExpandDocTerms), so df(t) ≤ |D| and
+// pipeline does (AddDoc over ExpandDocTermsAppend), so df(t) ≤ |D| and
 // dfC ≥ df hold by construction for every input.
 func buildFuzzTables(data []byte) (dict *textdb.Dictionary, dfD, dfC *textdb.DFTable, ctxSet map[textdb.TermID]bool, numDocs int) {
 	dict = textdb.NewDictionary()
@@ -37,7 +37,7 @@ func buildFuzzTables(data []byte) (dict *textdb.Dictionary, dfD, dfC *textdb.DFT
 			}
 		}
 		dfD.AddDoc(orig)
-		dfC.AddDoc(ExpandDocTerms(dict, orig, ctx, scratch, ctxSet))
+		dfC.AddDoc(ExpandDocTermsAppend(nil, dict, orig, ctx, scratch, ctxSet))
 		numDocs++
 	}
 	return dict, dfD, dfC, ctxSet, numDocs

@@ -147,12 +147,12 @@ func workerCorpus(t *testing.T) (*textdb.Corpus, []Extractor, []Resource) {
 
 func TestIdentifyImportantWorkersEquivalence(t *testing.T) {
 	corpus, exs, _ := workerCorpus(t)
-	seq, err := IdentifyImportantWorkers(context.Background(), corpus, exs, 0, 1)
+	seq, _, err := IdentifyImportantReport(context.Background(), corpus, exs, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8, 16} {
-		par, err := IdentifyImportantWorkers(context.Background(), corpus, exs, 0, workers)
+		par, _, err := IdentifyImportantReport(context.Background(), corpus, exs, 0, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,16 +164,16 @@ func TestIdentifyImportantWorkersEquivalence(t *testing.T) {
 
 func TestDeriveContextWorkersEquivalence(t *testing.T) {
 	corpus, exs, ress := workerCorpus(t)
-	important, err := IdentifyImportantWorkers(context.Background(), corpus, exs, 0, 1)
+	important, _, err := IdentifyImportantReport(context.Background(), corpus, exs, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := DeriveContextWorkers(context.Background(), important, ress, nil, 1)
+	seq, _, _, err := DeriveContextFallbackReport(context.Background(), important, ress, nil, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		par, err := DeriveContextWorkers(context.Background(), important, ress, NewResourceCache(), workers)
+		par, _, _, err := DeriveContextFallbackReport(context.Background(), important, ress, nil, NewResourceCache(), workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,8 +185,8 @@ func TestDeriveContextWorkersEquivalence(t *testing.T) {
 
 func TestAnalyzeWithWorkersEquivalence(t *testing.T) {
 	corpus, exs, ress := workerCorpus(t)
-	important, _ := IdentifyImportantWorkers(context.Background(), corpus, exs, 0, 1)
-	ctxRows, _ := DeriveContextWorkers(context.Background(), important, ress, nil, 1)
+	important, _, _ := IdentifyImportantReport(context.Background(), corpus, exs, 0, 1)
+	ctxRows, _, _, _ := DeriveContextFallbackReport(context.Background(), important, ress, nil, nil, 1)
 	seq := AnalyzeWith(corpus, ctxRows, 0, AnalyzeOptions{Workers: 1})
 	for _, workers := range []int{2, 4, 16} {
 		par := AnalyzeWith(corpus, ctxRows, 0, AnalyzeOptions{Workers: workers})
@@ -243,7 +243,7 @@ func TestExpandDocTerms(t *testing.T) {
 	dict := textdb.NewDictionary()
 	a, b := dict.Intern("a"), dict.Intern("b")
 	ctxSet := map[textdb.TermID]bool{}
-	merged := ExpandDocTerms(dict, []textdb.TermID{a, b}, []string{"b", "c", "c", "a", "d"}, nil, ctxSet)
+	merged := ExpandDocTermsAppend(nil, dict, []textdb.TermID{a, b}, []string{"b", "c", "c", "a", "d"}, nil, ctxSet)
 	c, d := dict.Lookup("c"), dict.Lookup("d")
 	want := []textdb.TermID{a, b, c, d}
 	if !reflect.DeepEqual(merged, want) {
@@ -255,7 +255,7 @@ func TestExpandDocTerms(t *testing.T) {
 	}
 	// Reused scratch must be cleared between documents.
 	scratch := map[textdb.TermID]bool{a: true}
-	merged = ExpandDocTerms(dict, nil, []string{"a"}, scratch, nil)
+	merged = ExpandDocTermsAppend(merged[:0], dict, nil, []string{"a"}, scratch, nil)
 	if !reflect.DeepEqual(merged, []textdb.TermID{a}) {
 		t.Fatalf("stale scratch leaked: %v", merged)
 	}

@@ -115,7 +115,7 @@ func (m *Model) Len() int {
 }
 
 // Build constructs the model from per-document important-term lists —
-// the exact [][]string that core.IdentifyImportant produces — so the
+// the exact [][]string that core.IdentifyImportantReport produces — so the
 // corpus-only path reuses Step 1's output rather than re-tokenizing.
 // Duplicate terms within a document are collapsed (document frequency
 // semantics: a pair co-occurs at most once per document), preserving

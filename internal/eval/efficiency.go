@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -134,10 +135,11 @@ func Efficiency(dr *DataRun, sampleDocs int) (*EfficiencyReport, error) {
 	clock.Reset()
 
 	// Facet selection (Step 3) on the sample with all resources.
-	context := core.DeriveContext(importantAll, dr.Lab.Resources(ResourceOrder...), dr.Lab.cache)
+	// The background context never ends and the lab's resources never fail.
+	contextTerms, _, _, _ := core.DeriveContextFallbackReport(context.Background(), importantAll, dr.Lab.Resources(ResourceOrder...), nil, dr.Lab.cache, 0)
 	sub := subCorpus(corpus, sampleDocs)
 	start = time.Now()
-	result := core.Analyze(sub, context, 200)
+	result := core.AnalyzeWith(sub, contextTerms, 200, core.AnalyzeOptions{})
 	rep.FacetSelection = time.Since(start)
 
 	// Hierarchy construction over the selected terms.
@@ -153,14 +155,15 @@ func Efficiency(dr *DataRun, sampleDocs int) (*EfficiencyReport, error) {
 				docTerms[d] = append(docTerms[d], s)
 			}
 		}
-		for _, c := range context[d] {
+		for _, c := range contextTerms[d] {
 			if termSet[c] {
 				docTerms[d] = append(docTerms[d], c)
 			}
 		}
 	}
+	b, _ := hierarchy.Lookup("subsumption") // registered by package hierarchy itself
 	start = time.Now()
-	if _, err := hierarchy.BuildSubsumption(terms, docTerms, hierarchy.SubsumptionConfig{}); err != nil {
+	if _, err := b.Build(context.Background(), terms, docTerms, hierarchy.BuildConfig{}); err != nil {
 		return nil, err
 	}
 	rep.HierarchyConstruction = time.Since(start)

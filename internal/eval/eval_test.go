@@ -1,9 +1,11 @@
 package eval
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"repro/internal/hierarchy"
 	"repro/internal/lang"
 	"repro/internal/newsgen"
 )
@@ -292,33 +294,36 @@ func TestTableCellLookup(t *testing.T) {
 	}
 }
 
-func TestCompareHierarchies(t *testing.T) {
+// TestHierarchyBakeoff: every registered builder gets one scored row,
+// and the paper's closing conjecture holds — evidence combination judges
+// at least as precise as plain subsumption.
+func TestHierarchyBakeoff(t *testing.T) {
 	dr := testRun(t)
-	cmp, err := CompareHierarchies(dr, 60)
+	bk, err := HierarchyBakeoff(context.Background(), dr, BakeoffOptions{TopK: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cmp.Methods) != 3 {
-		t.Fatalf("%d methods", len(cmp.Methods))
+	names := hierarchy.Names()
+	if len(bk.Rows) != len(names) {
+		t.Fatalf("%d rows for %d builders", len(bk.Rows), len(names))
 	}
-	byName := map[string]HierarchyMethodResult{}
-	for _, m := range cmp.Methods {
-		if m.Terms == 0 {
-			t.Fatalf("method %q placed no terms", m.Name)
+	byName := map[string]ForestScore{}
+	for i, r := range bk.Rows {
+		if r.Builder != names[i] {
+			t.Fatalf("row %d is %q, want %q", i, r.Builder, names[i])
 		}
-		if m.Precision < 0 || m.Precision > 1 {
-			t.Fatalf("method %q precision %v", m.Name, m.Precision)
+		if r.Nodes == 0 {
+			t.Fatalf("builder %q placed no terms", r.Builder)
 		}
-		byName[m.Name] = m
+		if r.Judged < 0 || r.Judged > 1 {
+			t.Fatalf("builder %q judged precision %v", r.Builder, r.Judged)
+		}
+		byName[r.Builder] = r
 	}
-	// The paper's conjecture, reproduced here: evidence combination is at
-	// least as precise as plain subsumption.
-	if byName["evidence combination (Snow-style)"].Precision < byName["subsumption (paper)"].Precision {
-		t.Fatalf("evidence (%v) below subsumption (%v)",
-			byName["evidence combination (Snow-style)"].Precision,
-			byName["subsumption (paper)"].Precision)
+	if ev, sub := byName["evidence"].Judged, byName["subsumption"].Judged; ev < sub {
+		t.Fatalf("evidence judged %v below subsumption %v", ev, sub)
 	}
-	if !strings.Contains(cmp.Format(), "subsumption") {
+	if !strings.Contains(bk.Format(), "Judged") {
 		t.Fatal("Format output malformed")
 	}
 }

@@ -5,6 +5,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -200,7 +201,9 @@ func (dr *DataRun) Important(extractor string) [][]string {
 			}
 		}
 	} else {
-		out = core.IdentifyImportant(dr.DS.Corpus, []core.Extractor{dr.Extractor(extractor)}, 0)
+		// The background context never ends and the lab's extractors never
+		// fail, so Step 1 returns neither an error nor degradations.
+		out, _, _ = core.IdentifyImportantReport(context.Background(), dr.DS.Corpus, []core.Extractor{dr.Extractor(extractor)}, 0, 0)
 	}
 	dr.important[extractor] = out
 	return out
@@ -218,10 +221,11 @@ func (dr *DataRun) resourceSet(resource string) []core.Resource {
 // config) cell and returns the analysis result.
 func (dr *DataRun) RunCell(extractor, resource string, topK int) *core.Result {
 	important := dr.Important(extractor)
-	context := core.DeriveContext(important, dr.resourceSet(resource), dr.Lab.cache)
-	res := core.AnalyzeWith(dr.DS.Corpus, context, topK, core.AnalyzeOptions{})
+	// The background context never ends and the lab's resources never fail.
+	contextTerms, _, _, _ := core.DeriveContextFallbackReport(context.Background(), important, dr.resourceSet(resource), nil, dr.Lab.cache, 0)
+	res := core.AnalyzeWith(dr.DS.Corpus, contextTerms, topK, core.AnalyzeOptions{})
 	res.Important = important
-	res.Context = context
+	res.Context = contextTerms
 	res.Resources = dr.resourceSet(resource)
 	return res
 }

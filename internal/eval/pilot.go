@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -221,7 +222,8 @@ func Figure5(dr *DataRun, topN int) ([]string, *hierarchy.Forest, error) {
 			}
 		}
 	}
-	forest, err := hierarchy.BuildSubsumption(terms, docTerms, hierarchy.SubsumptionConfig{})
+	b, _ := hierarchy.Lookup("subsumption") // registered by package hierarchy itself
+	forest, err := b.Build(context.Background(), terms, docTerms, hierarchy.BuildConfig{})
 	if err != nil {
 		return nil, nil, err
 	}

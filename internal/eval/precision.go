@@ -1,12 +1,11 @@
 package eval
 
 import (
+	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/hierarchy"
-	"repro/internal/textdb"
 )
 
 // PrecisionConfig parameterizes the precision experiments (Tables V–VII).
@@ -31,50 +30,19 @@ func BuildForest(dr *DataRun, result *core.Result, topK int) (*hierarchy.Forest,
 		terms = terms[:topK]
 	}
 	docTerms := ExpandedDocTerms(dr, result, terms)
-	return hierarchy.BuildSubsumption(terms, docTerms, hierarchy.SubsumptionConfig{})
+	b, _ := hierarchy.Lookup("subsumption") // registered by package hierarchy itself
+	return b.Build(context.Background(), terms, docTerms, hierarchy.BuildConfig{})
 }
 
-// assignmentVotes is the corroboration requirement for context-based
-// document-to-facet assignment (see core.ContextVotes).
-const assignmentVotes = 2
-
 // ExpandedDocTerms lists, per document, which of the given terms describe
-// the document: terms occurring in its text, plus context terms
-// corroborated by at least assignmentVotes of the document's important
-// terms. This is the co-occurrence basis for subsumption and for the
-// faceted-browsing document assignment. result must carry the Important
-// and Resources fields of the run that produced it.
+// the document under core.AssignDocTerms: terms occurring in its text,
+// plus context terms corroborated by its important terms. This is the
+// co-occurrence basis for subsumption and for the faceted-browsing
+// document assignment. result must carry the Important and Resources
+// fields of the run that produced it.
 func ExpandedDocTerms(dr *DataRun, result *core.Result, terms []string) [][]string {
-	termSet := map[string]bool{}
-	for _, t := range terms {
-		termSet[t] = true
-	}
 	votes := core.ContextVotes(result.Important, result.Resources, labCache(dr))
-	corpus := dr.DS.Corpus
-	out := make([][]string, corpus.Len())
-	for d := 0; d < corpus.Len(); d++ {
-		present := map[string]bool{}
-		for _, id := range corpus.DocTerms(textdb.DocID(d)) {
-			s := corpus.Dict().String(id)
-			if termSet[s] {
-				present[s] = true
-			}
-		}
-		need := assignmentVotes
-		if len(result.Important[d]) < 2 {
-			need = 1
-		}
-		for c, v := range votes[d] {
-			if v >= need && termSet[c] {
-				present[c] = true
-			}
-		}
-		for s := range present {
-			out[d] = append(out[d], s)
-		}
-		sort.Strings(out[d])
-	}
-	return out
+	return core.AssignDocTerms(dr.DS.Corpus, result.Important, votes, terms)
 }
 
 // PrecisionTable reproduces one of Tables V/VI/VII: for every cell, the

@@ -7,9 +7,9 @@ import (
 
 // ForestScore is the ground-truth quality profile of one built hierarchy.
 // Unlike JudgePrecision (which simulates noisy human judges, as the
-// paper's Section V-C does), these numbers come straight from the
-// knowledge base the corpus was generated from, so they are exact and
-// comparable across builders.
+// paper's Section V-C does), the numbers ScoreForest computes come
+// straight from the knowledge base the corpus was generated from, so they
+// are exact and comparable across builders.
 type ForestScore struct {
 	Builder string
 
@@ -31,6 +31,11 @@ type ForestScore struct {
 	// OrphanRate: input terms that ended up unplaced — absent from the
 	// forest or parked as childless roots — over all distinct input terms.
 	OrphanRate float64
+
+	// Judged is the simulated annotators' precision
+	// (mturk.Pool.JudgePrecision), the metric of the paper's Tables V–VII;
+	// filled in by the bake-off.
+	Judged float64
 
 	// Millis is the builder's wall-clock, filled in by the bake-off.
 	Millis float64

@@ -40,7 +40,8 @@ type BuildConfig struct {
 	// Threshold is the builder's main attachment threshold: θ in
 	// P(x|y) ≥ θ for subsumption, the combined-score floor for evidence
 	// (unless Evidence.Threshold overrides it). 0 selects the builder's
-	// standard default (0.8 for subsumption and evidence).
+	// standard default (0.8 for subsumption and evidence); both builders
+	// reject a threshold outside [0,1], NaN included.
 	Threshold float64
 	// MinDF drops terms observed in fewer documents; co-occurrence
 	// estimates below a handful of documents are noise. 0 selects 2.

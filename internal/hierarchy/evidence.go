@@ -29,52 +29,12 @@ func (e EvidenceFunc) Name() string { return e.EvidenceName }
 // Score implements TaxonomicEvidence.
 func (e EvidenceFunc) Score(parent, child string) float64 { return e.Fn(parent, child) }
 
-// EvidenceConfig parameterizes BuildWithEvidence.
-//
-// Deprecated: use BuildConfig with the "evidence" Builder — the fields
-// map onto BuildConfig.{MinDF, Workers} and the nested EvidenceOptions.
-// This struct is kept so external callers compile.
-type EvidenceConfig struct {
-	// SubsumptionWeight as in EvidenceOptions; 0 selects 1.0.
-	SubsumptionWeight float64
-	// Weights per evidence source, aligned with Sources; nil gives every
-	// source weight 1.
-	Weights []float64
-	Sources []TaxonomicEvidence
-	// Threshold is the minimum combined score for attaching a child to a
-	// parent; 0 selects 0.8 (comparable to plain subsumption's θ).
-	Threshold float64
-	// MinDF as in BuildConfig.
-	MinDF int
-	// Workers as in BuildConfig. Sources must be safe for concurrent use
-	// when Workers > 1.
-	Workers int
-}
-
-// BuildWithEvidence builds a forest like BuildSubsumption but chooses each
-// term's parent by the maximum combined evidence score. A candidate must
-// still satisfy P(y|x) < 1 (directionality) and reach the threshold.
-func BuildWithEvidence(terms []string, docTerms [][]string, cfg EvidenceConfig) (*Forest, error) {
-	return BuildWithEvidenceContext(context.Background(), terms, docTerms, cfg)
-}
-
-// BuildWithEvidenceContext is BuildWithEvidence with cancellation: ctx is
-// checked between terms of the sharded pairwise evidence sweep, and a
-// canceled build returns ctx's error instead of a partial forest.
-func BuildWithEvidenceContext(ctx context.Context, terms []string, docTerms [][]string, cfg EvidenceConfig) (*Forest, error) {
-	return evidenceBuilder{}.Build(ctx, terms, docTerms, BuildConfig{
-		MinDF:   cfg.MinDF,
-		Workers: cfg.Workers,
-		Evidence: EvidenceOptions{
-			SubsumptionWeight: cfg.SubsumptionWeight,
-			Weights:           cfg.Weights,
-			Sources:           cfg.Sources,
-			Threshold:         cfg.Threshold,
-		},
-	})
-}
-
-// evidenceBuilder is the registered "evidence" strategy.
+// evidenceBuilder is the registered "evidence" strategy. It builds a
+// forest like the subsumption builder but chooses each term's parent by
+// the maximum combined evidence score. A candidate must still satisfy
+// P(y|x) < 1 (directionality) and reach the threshold. ctx is checked
+// between terms of the sharded pairwise evidence sweep, and a canceled
+// build returns ctx's error instead of a partial forest.
 type evidenceBuilder struct{}
 
 // Name implements Builder.
@@ -92,6 +52,9 @@ func (evidenceBuilder) Build(ctx context.Context, terms []string, docTerms [][]s
 	}
 	if threshold == 0 {
 		threshold = 0.8
+	}
+	if err := checkThreshold(threshold); err != nil {
+		return nil, err
 	}
 	if cfg.MinDF == 0 {
 		cfg.MinDF = 2
@@ -134,7 +97,7 @@ func (evidenceBuilder) Build(ctx context.Context, terms []string, docTerms [][]s
 	maxZeroCoScore /= totalWeight
 	pruned := !cfg.denseSweep && threshold > maxZeroCoScore
 
-	// As in BuildSubsumption, every term's best parent is computed
+	// As in the subsumption builder, every term's best parent is computed
 	// independently, so the pairwise evidence combination shards across
 	// workers into per-term slots merged deterministically afterwards.
 	// The best-candidate tie-break (max score, then lexicographically

@@ -71,11 +71,86 @@ func checkForestInvariants(t *testing.T, f *Forest) {
 	}
 }
 
+// checkSubsumptionPredicate recomputes from docTerms alone what the
+// subsumption builder must produce and compares it with the forest. The
+// forest holds exactly the terms with df ≥ minDF. An edge y→x (x the
+// parent) needs P(x|y) = co/df(y) ≥ θ, P(y|x) = co/df(x) < 1,
+// df(x) > df(y) and df(y) ≤ ⌊maxChildFrac·N⌋, and no other qualifying
+// term may be more specific (smaller df, then higher P(x|y), then term
+// text). A root has no qualifying term at all.
+func checkSubsumptionPredicate(t *testing.T, f *Forest, terms []string, docTerms [][]string, theta float64, minDF int, maxChildFrac float64) {
+	t.Helper()
+	isTerm := map[string]bool{}
+	for _, term := range terms {
+		isTerm[term] = true
+	}
+	df := map[string]int{}
+	co := map[[2]string]int{}
+	for _, row := range docTerms {
+		seen := map[string]bool{}
+		for _, term := range row {
+			if isTerm[term] && !seen[term] {
+				seen[term] = true
+				df[term]++
+			}
+		}
+		for a := range seen {
+			for b := range seen {
+				co[[2]string{a, b}]++
+			}
+		}
+	}
+	var alive []string
+	for term := range isTerm {
+		if df[term] >= minDF {
+			alive = append(alive, term)
+		}
+	}
+	if f.Size() != len(alive) {
+		t.Fatalf("forest has %d terms, %d have df >= %d", f.Size(), len(alive), minDF)
+	}
+	maxChildDF := int(maxChildFrac * float64(len(docTerms)))
+	subsumes := func(x, y string) (float64, bool) {
+		c := co[[2]string{x, y}]
+		pxy := float64(c) / float64(df[y])
+		return pxy, x != y && df[x] > df[y] && df[y] <= maxChildDF &&
+			pxy >= theta && float64(c)/float64(df[x]) < 1
+	}
+	for _, y := range alive {
+		node, ok := f.Find(y)
+		if !ok {
+			t.Fatalf("term %q (df %d) missing from the forest", y, df[y])
+		}
+		best, bestP := "", 0.0
+		for _, x := range alive {
+			pxy, ok := subsumes(x, y)
+			if ok && (best == "" || df[x] < df[best] ||
+				df[x] == df[best] && (pxy > bestP || pxy == bestP && x < best)) {
+				best, bestP = x, pxy
+			}
+		}
+		switch {
+		case node.Parent == nil && best != "":
+			t.Fatalf("%q is a root, but %q subsumes it", y, best)
+		case node.Parent != nil:
+			x := node.Parent.Term
+			if _, ok := subsumes(x, y); !ok {
+				t.Fatalf("edge %q→%q fails the predicate (co %d, df %d/%d, θ %v)",
+					y, x, co[[2]string{x, y}], df[y], df[x], theta)
+			}
+			if x != best {
+				t.Fatalf("%q sits under %q, but %q is the most specific subsumer", y, x, best)
+			}
+		}
+	}
+}
+
 // FuzzSubsumption builds subsumption forests over arbitrary document
 // collections, thresholds, and worker counts, checking that construction
 // never fails or panics, the result is a true forest (acyclic, every
-// term reachable exactly once), and the sharded pairwise sweep renders
-// the identical tree to the sequential one.
+// term reachable exactly once), every edge follows the subsumption
+// predicate (checkSubsumptionPredicate), and the sharded pairwise sweep
+// renders the identical tree to the sequential one.
 func FuzzSubsumption(f *testing.F) {
 	f.Add([]byte{0x07, 0x00, 0x03, 0x00, 0x01, 0x00, 0x07, 0x00}, uint8(80), uint8(4))
 	f.Add([]byte{0xff, 0xff, 0x0f, 0x00, 0xf0, 0x00}, uint8(50), uint8(0))
@@ -84,16 +159,17 @@ func FuzzSubsumption(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, thresholdPct, workers uint8) {
 		terms, docTerms := decodeFuzzCollection(data)
 		threshold := float64(thresholdPct%100+1) / 100 // (0, 1]
-		cfg := SubsumptionConfig{Threshold: threshold, Workers: int(workers % 8)}
-		forest, err := BuildSubsumption(terms, docTerms, cfg)
+		cfg := BuildConfig{Threshold: threshold, Workers: int(workers % 8)}
+		forest, err := buildNamed("subsumption", terms, docTerms, cfg)
 		if err != nil {
-			t.Fatalf("BuildSubsumption(threshold=%v): %v", threshold, err)
+			t.Fatalf("subsumption(threshold=%v): %v", threshold, err)
 		}
 		checkForestInvariants(t, forest)
+		checkSubsumptionPredicate(t, forest, terms, docTerms, threshold, 2, 0.6)
 
 		seqCfg := cfg
 		seqCfg.Workers = 1
-		seq, err := BuildSubsumption(terms, docTerms, seqCfg)
+		seq, err := buildNamed("subsumption", terms, docTerms, seqCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,12 +202,12 @@ func TestSubsumptionWorkersEquivalence(t *testing.T) {
 	}
 	terms := []string{"news", "sports", "football", "politics", "election",
 		"team0", "team4", "team1", "team2", "team3"}
-	seq, err := BuildSubsumption(terms, docTerms, SubsumptionConfig{Workers: 1})
+	seq, err := buildNamed("subsumption", terms, docTerms, BuildConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 5, 16} {
-		par, err := BuildSubsumption(terms, docTerms, SubsumptionConfig{Workers: workers})
+		par, err := buildNamed("subsumption", terms, docTerms, BuildConfig{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

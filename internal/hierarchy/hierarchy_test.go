@@ -1,10 +1,22 @@
 package hierarchy
 
 import (
+	"context"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// buildNamed runs the registered builder name under a background context.
+func buildNamed(name string, terms []string, docs [][]string, cfg BuildConfig) (*Forest, error) {
+	b, ok := Lookup(name)
+	if !ok {
+		return nil, fmt.Errorf("builder %q not registered", name)
+	}
+	return b.Build(context.Background(), terms, docs, cfg)
+}
 
 // docsWith builds docTerms where each entry lists the terms in one doc.
 func docsWith(rows ...string) [][]string {
@@ -38,7 +50,7 @@ func subsumptionFixture() ([]string, [][]string) {
 
 func TestBuildSubsumptionBasic(t *testing.T) {
 	terms, docs := subsumptionFixture()
-	f, err := BuildSubsumption(terms, docs, SubsumptionConfig{})
+	f, err := buildNamed("subsumption", terms, docs, BuildConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,12 +79,12 @@ func TestSubsumptionThreshold(t *testing.T) {
 	terms := []string{"a", "b"}
 	// P(a|b) = 2/3 < 0.8: no subsumption at θ=0.8, subsumption at θ=0.5.
 	docs := docsWith("a,b", "a,b", "b", "a", "a")
-	strict, _ := BuildSubsumption(terms, docs, SubsumptionConfig{Threshold: 0.8})
+	strict, _ := buildNamed("subsumption", terms, docs, BuildConfig{Threshold: 0.8})
 	b, _ := strict.Find("b")
 	if b.Parent != nil {
 		t.Fatal("θ=0.8 should not attach b")
 	}
-	loose, _ := BuildSubsumption(terms, docs, SubsumptionConfig{Threshold: 0.5})
+	loose, _ := buildNamed("subsumption", terms, docs, BuildConfig{Threshold: 0.5})
 	b2, _ := loose.Find("b")
 	if b2.Parent == nil || b2.Parent.Term != "a" {
 		t.Fatal("θ=0.5 should attach b under a")
@@ -83,7 +95,7 @@ func TestSubsumptionDirectionality(t *testing.T) {
 	// Perfect co-occurrence in both directions: P(y|x) = 1 blocks both.
 	terms := []string{"x", "y"}
 	docs := docsWith("x,y", "x,y", "x,y")
-	f, _ := BuildSubsumption(terms, docs, SubsumptionConfig{})
+	f, _ := buildNamed("subsumption", terms, docs, BuildConfig{})
 	x, _ := f.Find("x")
 	y, _ := f.Find("y")
 	if x.Parent != nil || y.Parent != nil {
@@ -94,7 +106,7 @@ func TestSubsumptionDirectionality(t *testing.T) {
 func TestSubsumptionMinDF(t *testing.T) {
 	terms := []string{"common", "rare"}
 	docs := docsWith("common", "common", "common,rare")
-	f, _ := BuildSubsumption(terms, docs, SubsumptionConfig{MinDF: 2})
+	f, _ := buildNamed("subsumption", terms, docs, BuildConfig{MinDF: 2})
 	if _, ok := f.Find("rare"); ok {
 		t.Fatal("df-1 term should be dropped at MinDF=2")
 	}
@@ -117,7 +129,7 @@ func TestSubsumptionMostSpecificParent(t *testing.T) {
 		"location",
 		"", "", "", "", "", "", // padding keeps df fractions below saturation
 	)
-	f, _ := BuildSubsumption(terms, docs, SubsumptionConfig{MaxChildDFFraction: 0.99})
+	f, _ := buildNamed("subsumption", terms, docs, BuildConfig{MaxChildDFFraction: 0.99})
 	france, _ := f.Find("france")
 	if france.Parent == nil || france.Parent.Term != "europe" {
 		t.Fatalf("france parent = %v, want europe", france.Parent)
@@ -128,15 +140,46 @@ func TestSubsumptionMostSpecificParent(t *testing.T) {
 	}
 }
 
+// TestSubsumptionInvalidThreshold: both threshold-driven builders reject
+// a θ outside [0,1], NaN included. A NaN θ fails every pxy < θ test, so
+// before the check it accepted every pair: on the probe below it built
+// a→b→c although P(a|b) = 2/3 and P(b|c) = 1/2.
 func TestSubsumptionInvalidThreshold(t *testing.T) {
-	if _, err := BuildSubsumption(nil, nil, SubsumptionConfig{Threshold: 1.5}); err == nil {
-		t.Fatal("expected error")
+	terms := []string{"a", "b", "c"}
+	docs := docsWith("a,b", "a", "a,c", "a,b,c", "b")
+	f, err := buildNamed("subsumption", terms, docs, BuildConfig{Threshold: 0.8, MinDF: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := FormatTree(f), "a (4)\n  c (2)\nb (3)\n"; got != want {
+		t.Fatalf("θ=0.8 probe forest:\n%s\nwant:\n%s", got, want)
+	}
+	for _, c := range []struct {
+		builder string
+		cfg     BuildConfig
+	}{
+		{"subsumption", BuildConfig{Threshold: 1.5}},
+		{"subsumption", BuildConfig{Threshold: -0.1}},
+		{"subsumption", BuildConfig{Threshold: math.NaN()}},
+		{"subsumption", BuildConfig{Threshold: math.Inf(1)}},
+		{"subsumption", BuildConfig{Threshold: math.Inf(-1)}},
+		{"evidence", BuildConfig{Threshold: 1.5}},
+		{"evidence", BuildConfig{Threshold: math.NaN()}},
+		{"evidence", BuildConfig{Evidence: EvidenceOptions{Threshold: -0.5}}},
+		{"evidence", BuildConfig{Evidence: EvidenceOptions{Threshold: math.NaN()}}},
+		{"evidence", BuildConfig{Evidence: EvidenceOptions{Threshold: math.Inf(1)}}},
+	} {
+		if f, err := buildNamed(c.builder, terms, docs, c.cfg); err == nil {
+			t.Errorf("%s with %+v: built\n%s\nwant an error", c.builder, c.cfg, FormatTree(f))
+		} else if !strings.Contains(err.Error(), "outside [0,1]") {
+			t.Errorf("%s with %+v: error %q", c.builder, c.cfg, err)
+		}
 	}
 }
 
 func TestForestWalkDepths(t *testing.T) {
 	terms, docs := subsumptionFixture()
-	f, _ := BuildSubsumption(terms, docs, SubsumptionConfig{})
+	f, _ := buildNamed("subsumption", terms, docs, BuildConfig{})
 	depths := map[string]int{}
 	f.Walk(func(n *Node, d int) { depths[n.Term] = d })
 	if depths["europe"] != 0 || depths["france"] != 1 {
@@ -159,7 +202,10 @@ func TestTreeMinimization(t *testing.T) {
 		}
 		return nil
 	})
-	f := BuildTreeMinimization([]string{"france", "germany", "war", "jacques chirac"}, chains)
+	f, err := buildNamed("treemin", []string{"france", "germany", "war", "jacques chirac"}, nil, BuildConfig{Chains: chains})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// "country" has two children (france, germany) and must survive;
 	// single-child chain nodes like "region"→"location" collapse.
 	country, ok := f.Find("country")
@@ -194,7 +240,10 @@ func TestTreeMinimizationSharedRootSurvives(t *testing.T) {
 		}
 		return nil
 	})
-	f := BuildTreeMinimization([]string{"a", "b"}, chains)
+	f, err := buildNamed("treemin", []string{"a", "b"}, nil, BuildConfig{Chains: chains})
+	if err != nil {
+		t.Fatal(err)
+	}
 	top, ok := f.Find("top")
 	if !ok {
 		t.Fatal("top missing")
@@ -215,15 +264,15 @@ func TestBuildWithEvidencePromotesKnownIsA(t *testing.T) {
 		}
 		return 0
 	}}
-	plain, _ := BuildSubsumption(terms, docs, SubsumptionConfig{})
+	plain, _ := buildNamed("subsumption", terms, docs, BuildConfig{})
 	fr, _ := plain.Find("france")
 	if fr.Parent != nil {
 		t.Fatal("fixture broken: plain subsumption should not attach france")
 	}
-	combined, err := BuildWithEvidence(terms, docs, EvidenceConfig{
+	combined, err := buildNamed("evidence", terms, docs, BuildConfig{Evidence: EvidenceOptions{
 		Sources:   []TaxonomicEvidence{wn},
 		Threshold: 0.7,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,10 +283,10 @@ func TestBuildWithEvidencePromotesKnownIsA(t *testing.T) {
 }
 
 func TestBuildWithEvidenceValidation(t *testing.T) {
-	_, err := BuildWithEvidence(nil, nil, EvidenceConfig{
+	_, err := buildNamed("evidence", nil, nil, BuildConfig{Evidence: EvidenceOptions{
 		Sources: []TaxonomicEvidence{EvidenceFunc{EvidenceName: "x", Fn: func(_, _ string) float64 { return 0 }}},
 		Weights: []float64{1, 2},
-	})
+	}})
 	if err == nil {
 		t.Fatal("expected weight/source mismatch error")
 	}
@@ -247,7 +296,7 @@ func TestBuildWithEvidenceDirectionalityStillHolds(t *testing.T) {
 	terms := []string{"x", "y"}
 	docs := docsWith("x,y", "x,y")
 	ev := EvidenceFunc{EvidenceName: "always", Fn: func(_, _ string) float64 { return 1 }}
-	f, _ := BuildWithEvidence(terms, docs, EvidenceConfig{Sources: []TaxonomicEvidence{ev}})
+	f, _ := buildNamed("evidence", terms, docs, BuildConfig{Evidence: EvidenceOptions{Sources: []TaxonomicEvidence{ev}}})
 	x, _ := f.Find("x")
 	y, _ := f.Find("y")
 	if x.Parent != nil || y.Parent != nil {
@@ -258,7 +307,7 @@ func TestBuildWithEvidenceDirectionalityStillHolds(t *testing.T) {
 func TestDuplicateTermsHandled(t *testing.T) {
 	terms := []string{"a", "a", "b"}
 	docs := docsWith("a,b", "a,b", "a")
-	f, err := BuildSubsumption(terms, docs, SubsumptionConfig{})
+	f, err := buildNamed("subsumption", terms, docs, BuildConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +326,7 @@ func TestSaturatedTermsStayRoots(t *testing.T) {
 		docs = append(docs, []string{"everywhere", "common"})
 	}
 	docs = append(docs, []string{"common"})
-	f, err := BuildSubsumption(terms, docs, SubsumptionConfig{})
+	f, err := buildNamed("subsumption", terms, docs, BuildConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +335,7 @@ func TestSaturatedTermsStayRoots(t *testing.T) {
 		t.Fatalf("saturated term attached under %q", ev.Parent.Term)
 	}
 	// Disabling the cutoff allows the attachment.
-	f2, _ := BuildSubsumption(terms, docs, SubsumptionConfig{MaxChildDFFraction: 2})
+	f2, _ := buildNamed("subsumption", terms, docs, BuildConfig{MaxChildDFFraction: 2})
 	ev2, _ := f2.Find("everywhere")
 	if ev2.Parent == nil {
 		t.Fatal("cutoff-disabled build should attach the frequent term")
@@ -297,7 +346,7 @@ func TestParentMustBeMoreGeneral(t *testing.T) {
 	// df(x) <= df(y) blocks parenthood even when P(x|y) is high.
 	terms := []string{"a", "b"}
 	docs := docsWith("a,b", "a,b", "a,b", "a,b", "b", "", "", "", "", "")
-	f, _ := BuildSubsumption(terms, docs, SubsumptionConfig{})
+	f, _ := buildNamed("subsumption", terms, docs, BuildConfig{})
 	a, _ := f.Find("a")
 	if a.Parent == nil || a.Parent.Term != "b" {
 		t.Fatalf("a (df=4) should sit under b (df=5), got %+v", a.Parent)
@@ -327,7 +376,7 @@ func TestQuickSubsumptionInvariants(t *testing.T) {
 				}
 			}
 		}
-		forest, err := BuildSubsumption(terms, docs, SubsumptionConfig{MinDF: 1})
+		forest, err := buildNamed("subsumption", terms, docs, BuildConfig{MinDF: 1})
 		if err != nil {
 			return false
 		}
@@ -356,7 +405,7 @@ func TestQuickSubsumptionInvariants(t *testing.T) {
 
 func TestExportDOT(t *testing.T) {
 	terms, docs := subsumptionFixture()
-	f, _ := BuildSubsumption(terms, docs, SubsumptionConfig{})
+	f, _ := buildNamed("subsumption", terms, docs, BuildConfig{})
 	var buf strings.Builder
 	if err := WriteDOT(&buf, f, "test"); err != nil {
 		t.Fatal(err)
@@ -371,7 +420,7 @@ func TestExportDOT(t *testing.T) {
 
 func TestExportJSONRoundTrip(t *testing.T) {
 	terms, docs := subsumptionFixture()
-	f, _ := BuildSubsumption(terms, docs, SubsumptionConfig{})
+	f, _ := buildNamed("subsumption", terms, docs, BuildConfig{})
 	var buf strings.Builder
 	if err := WriteJSON(&buf, f); err != nil {
 		t.Fatal(err)
@@ -406,7 +455,7 @@ func TestFromJSONRejectsBadInput(t *testing.T) {
 
 func TestFormatTree(t *testing.T) {
 	terms, docs := subsumptionFixture()
-	f, _ := BuildSubsumption(terms, docs, SubsumptionConfig{})
+	f, _ := buildNamed("subsumption", terms, docs, BuildConfig{})
 	out := FormatTree(f)
 	if !strings.Contains(out, "  france (3)") {
 		t.Fatalf("tree format wrong:\n%s", out)

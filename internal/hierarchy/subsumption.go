@@ -60,46 +60,14 @@ func (f *Forest) Walk(fn func(n *Node, depth int)) {
 	}
 }
 
-// SubsumptionConfig parameterizes BuildSubsumption.
-//
-// Deprecated: use BuildConfig with the "subsumption" Builder; the fields
-// map one-to-one. This struct is kept so external callers compile.
-type SubsumptionConfig struct {
-	// Threshold is θ in P(x|y) ≥ θ; 0 selects the standard 0.8.
-	Threshold float64
-	// MinDF drops terms observed in fewer documents; 0 selects 2.
-	MinDF int
-	// MaxChildDFFraction as in BuildConfig; 0 selects 0.6.
-	MaxChildDFFraction float64
-	// Workers as in BuildConfig.
-	Workers int
-}
-
-// BuildSubsumption builds a subsumption forest over the given terms.
-// docTerms lists, for every document, which of the terms occur in it
-// (term strings must come from terms; unknown strings are ignored).
-//
-// For every term y, the chosen parent is the most specific subsumer: the
-// subsuming term x with the smallest df(x) (ties broken by higher P(x|y),
-// then lexicographically), which produces deeper, more informative trees
-// than attaching everything to the most frequent subsumer.
-func BuildSubsumption(terms []string, docTerms [][]string, cfg SubsumptionConfig) (*Forest, error) {
-	return BuildSubsumptionContext(context.Background(), terms, docTerms, cfg)
-}
-
-// BuildSubsumptionContext is BuildSubsumption with cancellation: ctx is
-// checked between terms of the sharded O(terms²) sweep, and a canceled
-// build returns ctx's error instead of a partially attached forest.
-func BuildSubsumptionContext(ctx context.Context, terms []string, docTerms [][]string, cfg SubsumptionConfig) (*Forest, error) {
-	return subsumptionBuilder{}.Build(ctx, terms, docTerms, BuildConfig{
-		Threshold:          cfg.Threshold,
-		MinDF:              cfg.MinDF,
-		MaxChildDFFraction: cfg.MaxChildDFFraction,
-		Workers:            cfg.Workers,
-	})
-}
-
-// subsumptionBuilder is the registered "subsumption" strategy.
+// subsumptionBuilder is the registered "subsumption" strategy, the
+// paper's choice. For every term y, the chosen parent is the most
+// specific subsumer: the subsuming term x with the smallest df(x) (ties
+// broken by higher P(x|y), then lexicographically), which produces
+// deeper, more informative trees than attaching everything to the most
+// frequent subsumer. ctx is checked between terms of the sharded
+// O(terms²) sweep, and a canceled build returns ctx's error instead of a
+// partially attached forest.
 type subsumptionBuilder struct{}
 
 // Name implements Builder.
@@ -110,8 +78,8 @@ func (subsumptionBuilder) Build(ctx context.Context, terms []string, docTerms []
 	if cfg.Threshold == 0 {
 		cfg.Threshold = 0.8
 	}
-	if cfg.Threshold < 0 || cfg.Threshold > 1 {
-		return nil, fmt.Errorf("hierarchy: threshold %v outside [0,1]", cfg.Threshold)
+	if err := checkThreshold(cfg.Threshold); err != nil {
+		return nil, err
 	}
 	if cfg.MinDF == 0 {
 		cfg.MinDF = 2
@@ -221,6 +189,16 @@ func (subsumptionBuilder) Build(ctx context.Context, terms []string, docTerms []
 		}
 	}
 	return assembleForest(st, parentOf), nil
+}
+
+// checkThreshold rejects an attachment threshold outside [0,1]. NaN is
+// rejected too: every comparison against it is false, so a NaN θ would
+// accept every pair instead of none.
+func checkThreshold(threshold float64) error {
+	if math.IsNaN(threshold) || threshold < 0 || threshold > 1 {
+		return fmt.Errorf("hierarchy: threshold %v outside [0,1]", threshold)
+	}
+	return nil
 }
 
 // thresholdMinCo returns the smallest co-occurrence count whose

@@ -18,14 +18,32 @@ type ChainFunc func(term string) []string
 // Chain implements ChainProvider.
 func (f ChainFunc) Chain(term string) []string { return f(term) }
 
-// BuildTreeMinimization implements the Stoica–Hearst approach the paper
-// cites as prior work (HLT-NAACL 2004/2007): each term contributes its
-// hypernym path; the paths are merged into one tree, and the tree is then
-// minimized by eliminating every internal node that is not itself an
-// input term and has exactly one child. Terms with no chain become
+// treeminBuilder is the registered "treemin" strategy, the Stoica–Hearst
+// approach the paper cites as prior work (HLT-NAACL 2004/2007): each term
+// contributes its hypernym path from cfg.Chains; the paths are merged
+// into one tree, and the tree is then minimized by eliminating every
+// internal node that is not itself an input term and has exactly one
+// child. Terms with no chain (every term, when cfg.Chains is nil) become
 // roots — which is precisely the named-entity weakness the paper's
-// technique addresses.
-func BuildTreeMinimization(terms []string, chains ChainProvider) *Forest {
+// technique addresses. docTerms and the co-occurrence knobs are ignored,
+// so there is no pairwise co-occurrence sweep to prune: the
+// candidate-pair generator (pairIndex) and the hierarchy.pairs.* counters
+// do not apply here, and cfg.denseSweep is a no-op. Cost is
+// O(Σ chain length), not O(terms²).
+type treeminBuilder struct{}
+
+// Name implements Builder.
+func (treeminBuilder) Name() string { return "treemin" }
+
+// Build implements Builder.
+func (treeminBuilder) Build(ctx context.Context, terms []string, _ [][]string, cfg BuildConfig) (*Forest, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	chains := cfg.Chains
+	if chains == nil {
+		chains = ChainFunc(func(string) []string { return nil })
+	}
 	forest := &Forest{index: map[string]*Node{}}
 	nodeFor := func(term string) *Node {
 		if n, ok := forest.index[term]; ok {
@@ -96,31 +114,7 @@ func BuildTreeMinimization(terms []string, chains ChainProvider) *Forest {
 	forest.Walk(func(n *Node, _ int) {
 		sort.Slice(n.Children, func(i, j int) bool { return n.Children[i].Term < n.Children[j].Term })
 	})
-	return forest
-}
-
-// treeminBuilder is the registered "treemin" strategy: it adapts
-// BuildTreeMinimization to the Builder contract using cfg.Chains as the
-// chain provider. docTerms and the co-occurrence knobs are ignored — the
-// hierarchy comes entirely from the taxonomy chains, so there is no
-// pairwise co-occurrence sweep to prune: the candidate-pair generator
-// (pairIndex) and the hierarchy.pairs.* counters do not apply here, and
-// cfg.denseSweep is a no-op. Cost is O(Σ chain length), not O(terms²).
-type treeminBuilder struct{}
-
-// Name implements Builder.
-func (treeminBuilder) Name() string { return "treemin" }
-
-// Build implements Builder.
-func (treeminBuilder) Build(ctx context.Context, terms []string, docTerms [][]string, cfg BuildConfig) (*Forest, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	chains := cfg.Chains
-	if chains == nil {
-		chains = ChainFunc(func(string) []string { return nil })
-	}
-	return BuildTreeMinimization(terms, chains), nil
+	return forest, nil
 }
 
 func isAncestorNode(a, b *Node) bool {

@@ -3,7 +3,6 @@ package ingest
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/browse"
@@ -61,7 +60,7 @@ func (ing *Ingester) runEpoch() error {
 	// any worker count, so live and batch builds still agree).
 	res := core.AnalyzeTables(snap.Dict(), dfD, dfC, ctxTerms, n, ing.cfg.TopK, core.AnalyzeOptions{Workers: ing.cfg.Workers})
 	terms := res.FacetTermStrings()
-	docTerms := assignDocTerms(snap, important, votes, terms)
+	docTerms := core.AssignDocTerms(snap, important, votes, terms)
 	builderName := ing.cfg.HierarchyBuilder
 	if builderName == "" {
 		builderName = "subsumption"
@@ -128,42 +127,6 @@ func (ing *Ingester) persistPending() error {
 	ing.persistedDocs.Add(int64(len(newDocs)))
 	ing.persistedSegments.Add(1)
 	return nil
-}
-
-// assignDocTerms computes the document-to-facet assignment for browsing:
-// facet terms appearing in the document text, plus context terms
-// corroborated by at least two of the document's important terms (one
-// when the document has fewer than two). This mirrors the batch facade's
-// assignment so live and batch builds of the same corpus agree.
-func assignDocTerms(corpus *textdb.Corpus, important [][]string, votes []map[string]int, terms []string) [][]string {
-	termSet := make(map[string]bool, len(terms))
-	for _, t := range terms {
-		termSet[t] = true
-	}
-	dict := corpus.Dict()
-	docTerms := make([][]string, corpus.Len())
-	for d := 0; d < corpus.Len(); d++ {
-		present := map[string]bool{}
-		for _, id := range corpus.DocTerms(textdb.DocID(d)) {
-			if s := dict.String(id); termSet[s] {
-				present[s] = true
-			}
-		}
-		need := 2
-		if len(important[d]) < 2 {
-			need = 1
-		}
-		for c, v := range votes[d] {
-			if v >= need && termSet[c] {
-				present[c] = true
-			}
-		}
-		for t := range present {
-			docTerms[d] = append(docTerms[d], t)
-		}
-		sort.Strings(docTerms[d])
-	}
-	return docTerms
 }
 
 // Stats is a point-in-time snapshot of the subsystem's health, exposed

@@ -54,7 +54,7 @@ var (
 
 // Config assembles an Ingester. Extractors and Resources must be safe for
 // concurrent use (the built-in substrates are read-only after
-// construction; core.IdentifyImportant already shards them the same way).
+// construction; core.IdentifyImportantReport already shards them the same way).
 type Config struct {
 	Extractors []core.Extractor
 	Resources  []core.Resource

@@ -1,6 +1,7 @@
 package mturk
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -213,7 +214,8 @@ func buildForest(t *testing.T, parentChild map[string][]string, roots []string) 
 	for i, n := 0, 3*len(docs); i < n; i++ {
 		docs = append(docs, nil)
 	}
-	f, err := hierarchy.BuildSubsumption(terms, docs, hierarchy.SubsumptionConfig{})
+	builder, _ := hierarchy.Lookup("subsumption")
+	f, err := builder.Build(context.Background(), terms, docs, hierarchy.BuildConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +265,8 @@ func TestJudgePrecisionBadHierarchy(t *testing.T) {
 func TestJudgePrecisionEmptyForest(t *testing.T) {
 	kb := testKB(t)
 	pool := NewPool(kb, Config{Seed: 9})
-	f, _ := hierarchy.BuildSubsumption(nil, nil, hierarchy.SubsumptionConfig{})
+	builder, _ := hierarchy.Lookup("subsumption")
+	f, _ := builder.Build(context.Background(), nil, nil, hierarchy.BuildConfig{})
 	j, p := pool.JudgePrecision(f)
 	if j != nil || p != 0 {
 		t.Fatal("empty forest should judge to nothing")

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -36,7 +37,8 @@ func testServer(t *testing.T, opts ...Option) *Server {
 		})
 	}
 	terms := []string{"europe", "france", "germany", "sports"}
-	forest, err := hierarchy.BuildSubsumption(terms, docTerms, hierarchy.SubsumptionConfig{MinDF: 1, MaxChildDFFraction: 0.99})
+	builder, _ := hierarchy.Lookup("subsumption")
+	forest, err := builder.Build(context.Background(), terms, docTerms, hierarchy.BuildConfig{MinDF: 1, MaxChildDFFraction: 0.99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +208,8 @@ func TestPublishSwapsInterface(t *testing.T) {
 
 	corpus := textdb.NewCorpus()
 	corpus.Add(&textdb.Document{Title: "solo", Source: "wire", Text: "one lonely document", Date: time.Date(2006, 1, 1, 0, 0, 0, 0, time.UTC)})
-	forest, err := hierarchy.BuildSubsumption([]string{"misc"}, [][]string{{"misc"}}, hierarchy.SubsumptionConfig{MinDF: 1})
+	builder, _ := hierarchy.Lookup("subsumption")
+	forest, err := builder.Build(context.Background(), []string{"misc"}, [][]string{{"misc"}}, hierarchy.BuildConfig{MinDF: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"time"
 
@@ -16,7 +17,8 @@ func tinyInterface() (*browse.Interface, error) {
 	corpus.Add(&textdb.Document{Title: "t", Source: "s", Date: time.Date(2008, 1, 1, 0, 0, 0, 0, time.UTC), Text: "alpha beta"})
 	corpus.Add(&textdb.Document{Title: "t", Source: "s", Date: time.Date(2008, 1, 2, 0, 0, 0, 0, time.UTC), Text: "beta gamma"})
 	docTerms := [][]string{{"a"}, {"a", "b"}}
-	forest, err := hierarchy.BuildSubsumption([]string{"a", "b"}, docTerms, hierarchy.SubsumptionConfig{MinDF: 1})
+	builder, _ := hierarchy.Lookup("subsumption")
+	forest, err := builder.Build(context.Background(), []string{"a", "b"}, docTerms, hierarchy.BuildConfig{MinDF: 1})
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -41,7 +42,8 @@ func buildFixture(t *testing.T) *browse.Interface {
 		{"sports", "soccer"},
 		{"europe", "france"},
 	}
-	forest, err := hierarchy.BuildSubsumption(terms, docTerms, hierarchy.SubsumptionConfig{MinDF: 1})
+	builder, _ := hierarchy.Lookup("subsumption")
+	forest, err := builder.Build(context.Background(), terms, docTerms, hierarchy.BuildConfig{MinDF: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

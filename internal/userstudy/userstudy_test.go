@@ -1,6 +1,7 @@
 package userstudy
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/browse"
@@ -36,7 +37,8 @@ func buildFixture(t *testing.T) (*browse.Interface, *newsgen.Dataset) {
 			}
 		}
 	}
-	forest, err := hierarchy.BuildSubsumption(terms, docTerms, hierarchy.SubsumptionConfig{Threshold: 0.6, MinDF: 1})
+	builder, _ := hierarchy.Lookup("subsumption")
+	forest, err := builder.Build(context.Background(), terms, docTerms, hierarchy.BuildConfig{Threshold: 0.6, MinDF: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +115,8 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestRunEmptyCorpus(t *testing.T) {
 	corpus := textdb.NewCorpus()
-	forest, _ := hierarchy.BuildSubsumption(nil, nil, hierarchy.SubsumptionConfig{})
+	builder, _ := hierarchy.Lookup("subsumption")
+	forest, _ := builder.Build(context.Background(), nil, nil, hierarchy.BuildConfig{})
 	iface, err := browse.Build(corpus, forest, nil)
 	if err != nil {
 		t.Fatal(err)
