@@ -34,6 +34,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -290,7 +291,9 @@ func (s *System) buildExtractors() []core.Extractor {
 }
 
 // buildResources assembles the selected resources (defaults to all).
-func (s *System) buildResources() []core.Resource {
+// dist is the corpus-only model, built by the caller when the selection
+// names it (selectsDistributional).
+func (s *System) buildResources(dist core.Resource) []core.Resource {
 	names := s.opts.Resources
 	if len(names) == 0 {
 		names = []string{"Google", "WordNet Hypernyms", "Wikipedia Synonyms", "Wikipedia Graph"}
@@ -307,7 +310,7 @@ func (s *System) buildResources() []core.Resource {
 		case "Wikipedia Graph":
 			out = append(out, wiki.NewGraphResource(s.env.wiki, 50))
 		case "Distributional", "corpus":
-			out = append(out, s.buildDistributional())
+			out = append(out, dist)
 		}
 	}
 	for _, r := range s.opts.ExtraResources {
@@ -316,20 +319,26 @@ func (s *System) buildResources() []core.Resource {
 	return out
 }
 
+// selectsDistributional reports whether Options.Resources names the
+// corpus-only model.
+func (s *System) selectsDistributional() bool {
+	return slices.Contains(s.opts.Resources, "Distributional") || slices.Contains(s.opts.Resources, "corpus")
+}
+
 // buildDistributional builds the corpus-only context resource over the
-// currently indexed documents: Step 1 runs once with the configured
-// extractors to collect per-document important terms, and distctx.Build
-// turns their co-occurrence structure into top-N neighbor vectors. The
-// extraction cost is paid again when the pipeline proper runs — the
-// model has to exist before Step 2 starts, and Step 1 is the cheap stage
-// (see StageReport). An empty corpus yields an inert model that answers
-// nil for every term.
-func (s *System) buildDistributional() core.Resource {
+// currently indexed documents: Step 1 runs with extractors to collect
+// per-document important terms, and distctx.Build turns their
+// co-occurrence structure into top-N neighbor vectors. The extraction
+// cost is paid again when the pipeline proper runs — the model has to
+// exist before Step 2 starts, and Step 1 is the cheap stage (see
+// StageReport). An empty corpus yields an inert model that answers nil
+// for every term. It returns ctx's error once ctx is done.
+func (s *System) buildDistributional(ctx context.Context, extractors []core.Extractor) (core.Resource, error) {
 	// Extractor degradations are reported when the pipeline proper runs
 	// Step 1 again.
-	important, _, err := core.IdentifyImportantReport(context.Background(), s.corpus, s.buildExtractors(), 0, s.opts.Workers)
+	important, _, err := core.IdentifyImportantReport(ctx, s.corpus, extractors, 0, s.opts.Workers)
 	if err != nil {
-		important = nil
+		return nil, err
 	}
 	// Log-likelihood weighting, not PPMI: the resource ablation
 	// (experiments -run resourceablation) shows LLR's preference for
@@ -337,13 +346,11 @@ func (s *System) buildDistributional() core.Resource {
 	// neighbor lists, which is what the subsumption builder needs to
 	// recover ancestor structure; PPMI's lift favors rare correlates and
 	// leaves the hierarchy flat.
-	m, err := distctx.Build(context.Background(), important, distctx.Config{Weight: distctx.WeightLLR, Workers: s.opts.Workers})
+	m, err := distctx.Build(ctx, important, distctx.Config{Weight: distctx.WeightLLR, Workers: s.opts.Workers})
 	if err != nil {
-		// Unreachable with a background context and the default knobs;
-		// degrade to an empty model rather than poison the resource list.
-		m, _ = distctx.Build(context.Background(), nil, distctx.Config{})
+		return nil, err
 	}
-	return m
+	return m, nil
 }
 
 // CoreExtractors assembles the configured term extractors over the
@@ -356,7 +363,14 @@ func (s *System) CoreExtractors() []core.Extractor { return s.buildExtractors() 
 
 // CoreResources assembles the configured context-expansion resources; see
 // CoreExtractors for the intended consumers.
-func (s *System) CoreResources() []core.Resource { return s.buildResources() }
+func (s *System) CoreResources() []core.Resource {
+	var dist core.Resource
+	if s.selectsDistributional() {
+		// The background context never ends, so the build cannot fail.
+		dist, _ = s.buildDistributional(context.Background(), s.buildExtractors())
+	}
+	return s.buildResources(dist)
+}
 
 // CoreFallback assembles the corpus-only fallback resource when
 // Options.CorpusFallback is set, and returns nil otherwise; the live
@@ -366,7 +380,9 @@ func (s *System) CoreFallback() core.Resource {
 	if !s.opts.CorpusFallback {
 		return nil
 	}
-	return s.buildDistributional()
+	// The background context never ends, so the build cannot fail.
+	dist, _ := s.buildDistributional(context.Background(), s.buildExtractors())
+	return dist
 }
 
 // FacetTerm is one extracted facet term with its statistical evidence.
@@ -432,15 +448,24 @@ func (s *System) ExtractFacetsContext(ctx context.Context) (*Result, error) {
 	if s.corpus.Len() == 0 {
 		return nil, fmt.Errorf("facet: no documents added")
 	}
+	extractors := s.buildExtractors()
+	// One corpus-only model serves as both resource and fallback.
+	var dist core.Resource
+	if s.selectsDistributional() || s.opts.CorpusFallback {
+		var err error
+		if dist, err = s.buildDistributional(ctx, extractors); err != nil {
+			return nil, err
+		}
+	}
 	cfg := core.Config{
-		Extractors: s.buildExtractors(),
-		Resources:  s.buildResources(),
+		Extractors: extractors,
+		Resources:  s.buildResources(dist),
 		TopK:       s.opts.TopK,
 		Workers:    s.opts.Workers,
 		Metrics:    s.metrics,
 	}
 	if s.opts.CorpusFallback {
-		cfg.Fallback = s.buildDistributional()
+		cfg.Fallback = dist
 	}
 	p, err := core.New(cfg)
 	if err != nil {

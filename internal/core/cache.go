@@ -53,15 +53,6 @@ func NewResourceCache() *ResourceCache {
 	return c
 }
 
-// Lookup queries the resource through the cache. Concurrent lookups of
-// the same (resource, term) pair share one underlying Context call.
-// Failures (for resources that also implement ResourceErr) are reported
-// as empty context; use LookupErr to observe them.
-func (c *ResourceCache) Lookup(r Resource, term string) []string {
-	out, _ := c.LookupErr(context.Background(), AsResourceErr(r), term)
-	return out
-}
-
 // LookupErr queries the fallible resource through the cache. Concurrent
 // lookups of the same (resource, term) pair share one underlying
 // ContextErr call; errors are returned to the caller that observed them

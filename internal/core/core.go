@@ -342,9 +342,131 @@ func (p *Pipeline) RunContext(ctx context.Context, corpus *textdb.Corpus) (*Resu
 	return res, nil
 }
 
-// IdentifyImportantReport is Step 1 (Figure 1): per document, the union
-// of all extractors' terms, first-extractor-first order preserved, cut to
-// maxPerDoc terms (maxPerDoc <= 0 means no cap).
+// ImportantTerms is Step 1 (Figure 1) for one document: the union of the
+// extractors' terms for text, first extractor first, without empty terms
+// or repeats, cut to maxPerDoc terms (maxPerDoc <= 0 means no cap). Each
+// extractor that fails is handed to fail with its error. A nil return
+// goes on without that extractor's terms; any other error stops Step 1
+// and is returned. Batch runs (IdentifyImportantReport) and live
+// ingestion call it with their own failure policies.
+func ImportantTerms(ctx context.Context, text string, extractors []ExtractorErr, maxPerDoc int, fail func(name string, err error) error) ([]string, error) {
+	seen := map[string]bool{}
+	var terms []string
+	for _, ex := range extractors {
+		extracted, err := ex.ExtractErr(ctx, text)
+		if err != nil {
+			if err := fail(ex.Name(), err); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		for _, t := range extracted {
+			if t != "" && !seen[t] {
+				seen[t] = true
+				terms = append(terms, t)
+			}
+		}
+	}
+	if maxPerDoc > 0 && len(terms) > maxPerDoc {
+		terms = terms[:maxPerDoc]
+	}
+	return terms, nil
+}
+
+// LookupError is one failed Step-2 call: Resource gave no context for
+// Term.
+type LookupError struct {
+	Resource string // the resource's Name()
+	Term     string // the important term it was asked about
+	Fallback bool   // the resource was the fallback
+	Err      error
+}
+
+func (e *LookupError) Error() string {
+	kind := "resource"
+	if e.Fallback {
+		kind = "fallback"
+	}
+	return fmt.Sprintf("%s %s(%q): %v", kind, e.Resource, e.Term, e.Err)
+}
+
+// Unwrap returns the resource's own error.
+func (e *LookupError) Unwrap() error { return e.Err }
+
+// ContextTerms is Step 2 (Figure 2) for one document: every resource's
+// context for each of its important terms, fetched through lookup (a
+// cache's LookupErr). It returns the context terms in first-seen order —
+// the document's row of C(D) — and votes, which counts for each of them
+// how many important terms brought it in through any resource; document
+// assignment (AssignDocTerms) reads the votes.
+//
+// fallback, when non-nil, is asked about a term only when every resource
+// failed for it. Its context counts like a resource's, and rescued
+// counts the terms it answered. A fallback nobody asks changes nothing,
+// so configuring one leaves healthy runs as they are.
+//
+// Each failed call is handed to fail. A nil return goes on without that
+// answer. Any other error stops Step 2 at the first failure the fallback
+// cannot rescue and is returned, with the terms rescued so far. Without a
+// fallback no failure can be rescued, so no further lookup is made; with
+// one, the term's other resources are asked first, and a term the
+// fallback then rescues does not stop.
+func ContextTerms(ctx context.Context, important []string, resources []ResourceErr, fallback ResourceErr,
+	lookup func(context.Context, ResourceErr, string) ([]string, error), fail func(*LookupError) error,
+) (terms []string, votes map[string]int, rescued int, err error) {
+	votes = map[string]int{}
+	voted := map[string]bool{} // context terms the current important term already voted for
+	merge := func(answer []string) {
+		for _, c := range answer {
+			if c == "" || voted[c] {
+				continue
+			}
+			voted[c] = true
+			if votes[c] == 0 {
+				terms = append(terms, c)
+			}
+			votes[c]++
+		}
+	}
+	for _, t := range important {
+		clear(voted)
+		failed := 0
+		var stop error // the term's first stopping failure, held while the fallback may rescue it
+		for _, r := range resources {
+			answer, lerr := lookup(ctx, r, t)
+			if lerr == nil {
+				merge(answer)
+				continue
+			}
+			failed++
+			if ferr := fail(&LookupError{Resource: r.Name(), Term: t, Err: lerr}); ferr != nil && stop == nil {
+				if fallback == nil {
+					return nil, nil, rescued, ferr
+				}
+				stop = ferr
+			}
+		}
+		if rescuable := fallback != nil && failed > 0 && failed == len(resources); !rescuable {
+			if stop != nil {
+				return nil, nil, rescued, stop
+			}
+			continue
+		}
+		answer, lerr := lookup(ctx, fallback, t)
+		if lerr != nil {
+			if ferr := fail(&LookupError{Resource: fallback.Name(), Term: t, Fallback: true, Err: lerr}); ferr != nil {
+				return nil, nil, rescued, ferr
+			}
+			continue
+		}
+		rescued++
+		merge(answer)
+	}
+	return terms, votes, rescued, nil
+}
+
+// IdentifyImportantReport is Step 1 over a corpus: ImportantTerms for
+// every document.
 //
 // Documents are sharded across a bounded worker pool (workers <= 0
 // selects GOMAXPROCS, 1 runs sequentially on the calling goroutine):
@@ -372,30 +494,13 @@ func IdentifyImportantReport(ctx context.Context, corpus *textdb.Corpus, extract
 	out := make([][]string, corpus.Len())
 	err := parallel.For(ctx, corpus.Len(), nw, func(w, i int) {
 		doc := corpus.Doc(textdb.DocID(i))
-		text := doc.Title + ". " + doc.Text
-		seen := map[string]bool{}
-		var terms []string
-		for _, ex := range fallible {
-			extracted, eerr := ex.ExtractErr(ctx, text)
-			if eerr != nil {
-				if ctx.Err() != nil {
-					return // cancellation, not a dependency failure
-				}
-				recordDeg(degs[w], ex.Name(), true, eerr)
-				continue
+		out[i], _ = ImportantTerms(ctx, doc.Title+". "+doc.Text, fallible, maxPerDoc, func(name string, err error) error {
+			if ctx.Err() != nil {
+				return ctx.Err() // cancellation, not a dependency failure
 			}
-			for _, t := range extracted {
-				if t == "" || seen[t] {
-					continue
-				}
-				seen[t] = true
-				terms = append(terms, t)
-			}
-		}
-		if maxPerDoc > 0 && len(terms) > maxPerDoc {
-			terms = terms[:maxPerDoc]
-		}
-		out[i] = terms
+			recordDeg(degs[w], name, true, err)
+			return nil
+		})
 	})
 	if err != nil {
 		return nil, nil, err
@@ -403,10 +508,10 @@ func IdentifyImportantReport(ctx context.Context, corpus *textdb.Corpus, extract
 	return out, mergeDegradations("extractor", degs), nil
 }
 
-// DeriveContextFallbackReport is Step 2 (Figure 2): per document, the
-// union of all resources' context terms for each important term,
-// deduplicated — the context rows of the contextualized database C(D).
-// Lookups go through cache; a nil cache allocates a private one.
+// DeriveContextFallbackReport is Step 2 over a corpus: ContextTerms for
+// every document, returning its context rows — the contextualized
+// database C(D) — and the number of terms fallback rescued (fallback may
+// be nil). Lookups go through cache; a nil cache allocates a private one.
 //
 // Documents are sharded across a bounded worker pool (workers <= 0
 // selects GOMAXPROCS, 1 runs sequentially). The shared cache is safe for
@@ -421,18 +526,24 @@ func IdentifyImportantReport(ctx context.Context, corpus *textdb.Corpus, extract
 // ResourceErr can — the resilience layer surfaces exhausted retries and
 // open circuits here) contributes nothing for that (document, term)
 // pair, the expansion proceeds with the surviving resources, and the gap
-// is quantified in the returned Degradations. Failed lookups are never
-// cached, so a recovering resource starts answering again immediately.
-//
-// fallback is a last-resort resource: when it is non-nil and EVERY
-// primary resource's lookup failed for a (document, term) pair, the
-// fallback is consulted for that term (through the same cache) and its
-// context merged in; the number of such rescues is returned. When no
-// resource fails — or fallback is nil — the fallback is never consulted,
-// so configuring one never perturbs healthy runs. A failing fallback (it
-// can implement ResourceErr too) is recorded in the degradation report
-// like any resource; the pair then completes context-free.
+// is quantified in the returned Degradations. A failing fallback is
+// recorded the same way; the pair then completes context-free. Failed
+// lookups are never cached, so a recovering resource starts answering
+// again immediately.
 func DeriveContextFallbackReport(ctx context.Context, important [][]string, resources []Resource, fallback Resource, cache *ResourceCache, workers int) ([][]string, []Degradation, int, error) {
+	rows := make([][]string, len(important))
+	degs, rescued, err := deriveContext(ctx, important, resources, fallback, cache, workers, rows, nil)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return rows, degs, rescued, nil
+}
+
+// deriveContext runs ContextTerms over every document under the batch
+// policy — a failed lookup is tallied and the document goes on without
+// its answer — and stores each document's context row in rows and its
+// votes in votes, when those are non-nil.
+func deriveContext(ctx context.Context, important [][]string, resources []Resource, fallback Resource, cache *ResourceCache, workers int, rows [][]string, votes []map[string]int) ([]Degradation, int, error) {
 	if cache == nil {
 		cache = NewResourceCache()
 	}
@@ -450,61 +561,32 @@ func DeriveContextFallbackReport(ctx context.Context, important [][]string, reso
 		degs[w] = map[string]*degAccum{}
 	}
 	rescues := make([]int, nw)
-	out := make([][]string, len(important))
 	err := parallel.For(ctx, len(important), nw, func(w, i int) {
-		seen := map[string]bool{}
-		failedDoc := map[string]bool{} // resources that already failed for this document
-		var ctxTerms []string
-		merge := func(terms []string) {
-			for _, c := range terms {
-				if c == "" || seen[c] {
-					continue
-				}
-				seen[c] = true
-				ctxTerms = append(ctxTerms, c)
+		failedDoc := map[string]bool{} // dependencies that already failed for this document
+		row, v, rescued, _ := ContextTerms(ctx, important[i], fallible, fallbackErr, cache.LookupErr, func(e *LookupError) error {
+			if ctx.Err() != nil {
+				return ctx.Err() // cancellation, not a dependency failure
 			}
+			recordDeg(degs[w], e.Resource, !failedDoc[e.Resource], e.Err)
+			failedDoc[e.Resource] = true
+			return nil
+		})
+		rescues[w] += rescued
+		if rows != nil {
+			rows[i] = row
 		}
-		for _, t := range important[i] {
-			failed := 0
-			for _, r := range fallible {
-				terms, lerr := cache.LookupErr(ctx, r, t)
-				if lerr != nil {
-					if ctx.Err() != nil {
-						return // cancellation, not a dependency failure
-					}
-					name := r.Name()
-					recordDeg(degs[w], name, !failedDoc[name], lerr)
-					failedDoc[name] = true
-					failed++
-					continue
-				}
-				merge(terms)
-			}
-			if fallbackErr != nil && len(fallible) > 0 && failed == len(fallible) {
-				terms, lerr := cache.LookupErr(ctx, fallbackErr, t)
-				if lerr != nil {
-					if ctx.Err() != nil {
-						return
-					}
-					name := fallbackErr.Name()
-					recordDeg(degs[w], name, !failedDoc[name], lerr)
-					failedDoc[name] = true
-					continue
-				}
-				rescues[w]++
-				merge(terms)
-			}
+		if votes != nil {
+			votes[i] = v
 		}
-		out[i] = ctxTerms
 	})
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
 	total := 0
 	for _, r := range rescues {
 		total += r
 	}
-	return out, mergeDegradations("resource", degs), total, nil
+	return mergeDegradations("resource", degs), total, nil
 }
 
 // AnalyzeOptions selects variants of Step 3 for ablation studies. The
@@ -563,14 +645,16 @@ func ExpandDocTermsAppend(dst []textdb.TermID, dict *textdb.Dictionary, orig []t
 	return dst
 }
 
-// ContextVotes returns, per document, how many distinct important terms
-// contributed each context term (through any resource). The pipeline's
-// Step 3 uses the flat union (DeriveContextFallbackReport); document-to-
-// facet ASSIGNMENT for hierarchy population and browsing uses these vote
-// counts (see AssignDocTerms): a facet term describes a document only
-// when several of the document's own important terms independently pull
-// it in, which keeps one stray entity mention from tagging the story with
-// a whole unrelated dimension.
+// ContextVotes returns, per document, the votes of Step 2 (ContextTerms):
+// how many distinct important terms contributed each context term
+// through any resource. The pipeline's Step 3 uses the flat union
+// (DeriveContextFallbackReport); document-to-facet ASSIGNMENT for
+// hierarchy population and browsing uses these vote counts (see
+// AssignDocTerms): a facet term describes a document only when several
+// of the document's own important terms independently pull it in, which
+// keeps one stray entity mention from tagging the story with a whole
+// unrelated dimension. Lookups go through cache (nil allocates a private
+// one), and a failed lookup counts as no context.
 func ContextVotes(important [][]string, resources []Resource, cache *ResourceCache) []map[string]int {
 	// The background context is never done, so there is no error.
 	out, _ := ContextVotesContext(context.Background(), important, resources, cache)
@@ -581,29 +665,11 @@ func ContextVotes(important [][]string, resources []Resource, cache *ResourceCac
 // before each document and returns ctx's error, and no votes, once ctx
 // is done.
 func ContextVotesContext(ctx context.Context, important [][]string, resources []Resource, cache *ResourceCache) ([]map[string]int, error) {
-	if cache == nil {
-		cache = NewResourceCache()
+	votes := make([]map[string]int, len(important))
+	if _, _, err := deriveContext(ctx, important, resources, nil, cache, 1, nil, votes); err != nil {
+		return nil, err
 	}
-	out := make([]map[string]int, len(important))
-	for i, terms := range important {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		votes := map[string]int{}
-		for _, t := range terms {
-			seen := map[string]bool{}
-			for _, r := range resources {
-				for _, c := range cache.Lookup(r, t) {
-					if c != "" && !seen[c] {
-						seen[c] = true
-						votes[c]++
-					}
-				}
-			}
-		}
-		out[i] = votes
-	}
-	return out, nil
+	return votes, nil
 }
 
 // AssignDocTerms is the document-to-facet assignment that hierarchy
@@ -645,43 +711,21 @@ func AssignDocTerms(corpus *textdb.Corpus, important [][]string, votes []map[str
 
 // AnalyzeWith is Step 3 (Figure 3): comparative term-frequency analysis
 // over the original corpus D and its per-document context expansions
-// C(D); the zero AnalyzeOptions is the paper's algorithm. With
-// opts.Workers > 1 the DF tables for D and C(D) are accumulated as
-// per-worker delta tables over document shards and merged before
-// scoring; document frequencies are additive across disjoint shards, so
-// the merged tables equal the sequentially built ones.
+// C(D); the zero AnalyzeOptions is the paper's algorithm. The DF tables
+// for D and C(D) are accumulated as per-worker delta tables over
+// document shards (one table pair at opts.Workers <= 1) and merged
+// before scoring; document frequencies are additive across disjoint
+// shards, so the merged tables equal the sequentially built ones.
 func AnalyzeWith(corpus *textdb.Corpus, context [][]string, topK int, opts AnalyzeOptions) *Result {
 	dict := corpus.Dict()
 	n := corpus.Len()
-
-	workers := opts.Workers
-	if workers <= 1 {
-		// Sequential path: one pass, one table pair.
-		dfD := textdb.NewDFTable(dict)
-		for i := 0; i < n; i++ {
-			dfD.AddDoc(corpus.DocTerms(textdb.DocID(i)))
-		}
-		dfC := textdb.NewDFTable(dict)
-		ctxTermSet := map[textdb.TermID]bool{}
-		scratch := map[textdb.TermID]bool{}
-		var buf []textdb.TermID
-		for i := 0; i < n; i++ {
-			orig := corpus.DocTerms(textdb.DocID(i))
-			buf = ExpandDocTermsAppend(buf[:0], dict, orig, context[i], scratch, ctxTermSet)
-			dfC.AddDoc(buf)
-		}
-		return AnalyzeTables(dict, dfD, dfC, ctxTermSet, n, topK, opts)
-	}
-
-	// Parallel path: per-worker DF deltas and context-term sets, merged
-	// in worker order below.
 	type delta struct {
 		dfD, dfC *textdb.DFTable
 		ctxSet   map[textdb.TermID]bool
 		scratch  map[textdb.TermID]bool
 		buf      []textdb.TermID
 	}
-	deltas := make([]*delta, workers)
+	deltas := make([]*delta, max(opts.Workers, 1))
 	for w := range deltas {
 		deltas[w] = &delta{
 			dfD:     textdb.NewDFTable(dict),
@@ -690,23 +734,23 @@ func AnalyzeWith(corpus *textdb.Corpus, context [][]string, topK int, opts Analy
 			scratch: map[textdb.TermID]bool{},
 		}
 	}
-	parallel.For(background, n, workers, func(w, i int) {
+	parallel.For(background, n, len(deltas), func(w, i int) {
 		d := deltas[w]
 		orig := corpus.DocTerms(textdb.DocID(i))
 		d.dfD.AddDoc(orig)
 		d.buf = ExpandDocTermsAppend(d.buf[:0], dict, orig, context[i], d.scratch, d.ctxSet)
 		d.dfC.AddDoc(d.buf)
 	})
-	dfD, dfC := textdb.NewDFTable(dict), textdb.NewDFTable(dict)
-	ctxTermSet := map[textdb.TermID]bool{}
-	for _, d := range deltas {
-		dfD.Merge(d.dfD)
-		dfC.Merge(d.dfC)
+	// Merge the other workers' deltas into the first, in worker order.
+	all := deltas[0]
+	for _, d := range deltas[1:] {
+		all.dfD.Merge(d.dfD)
+		all.dfC.Merge(d.dfC)
 		for id := range d.ctxSet {
-			ctxTermSet[id] = true
+			all.ctxSet[id] = true
 		}
 	}
-	return AnalyzeTables(dict, dfD, dfC, ctxTermSet, n, topK, opts)
+	return AnalyzeTables(dict, all.dfD, all.dfC, all.ctxSet, n, topK, opts)
 }
 
 // AnalyzeTables runs the Step-3 candidate selection and ranking over
@@ -756,27 +800,19 @@ func AnalyzeTables(dict *textdb.Dictionary, dfD, dfC *textdb.DFTable, ctxTermSet
 			Score:  scorer(df, dfc, n),
 		}, true
 	}
-	var cands []FacetTerm
-	if workers := opts.Workers; workers > 1 && len(ctxTermSet) > 1 {
-		ids := make([]textdb.TermID, 0, len(ctxTermSet))
-		for id := range ctxTermSet {
-			ids = append(ids, id)
+	ids := make([]textdb.TermID, 0, len(ctxTermSet))
+	for id := range ctxTermSet {
+		ids = append(ids, id)
+	}
+	parts := make([][]FacetTerm, max(opts.Workers, 1))
+	parallel.For(background, len(ids), len(parts), func(w, i int) {
+		if ft, ok := score(ids[i]); ok {
+			parts[w] = append(parts[w], ft)
 		}
-		parts := make([][]FacetTerm, workers)
-		parallel.For(background, len(ids), workers, func(w, i int) {
-			if ft, ok := score(ids[i]); ok {
-				parts[w] = append(parts[w], ft)
-			}
-		})
-		for _, p := range parts {
-			cands = append(cands, p...)
-		}
-	} else {
-		for id := range ctxTermSet {
-			if ft, ok := score(id); ok {
-				cands = append(cands, ft)
-			}
-		}
+	})
+	cands := parts[0]
+	for _, p := range parts[1:] {
+		cands = append(cands, p...)
 	}
 	sort.Slice(cands, func(a, b int) bool {
 		if cands[a].Score != cands[b].Score {

@@ -154,8 +154,8 @@ func TestCachePanicReleasesWaiters(t *testing.T) {
 		t.Fatalf("succ=%d panicked=%d, want %d/1", succ.Load(), panicked.Load(), waiters-1)
 	}
 	// And the cache is usable afterwards.
-	if out := c.Lookup(r, "jazz"); len(out) != 1 {
-		t.Fatalf("post-panic lookup = %v", out)
+	if out, err := c.LookupErr(context.Background(), r, "jazz"); err != nil || len(out) != 1 {
+		t.Fatalf("post-panic lookup = %v, %v", out, err)
 	}
 }
 

@@ -49,9 +49,9 @@ func TestResourceCacheConcurrentHammer(t *testing.T) {
 			<-start
 			for i := 0; i < iters; i++ {
 				term := fmt.Sprintf("term%02d", (g+i)%distinctTerms)
-				got := cache.Lookup(res, term)
-				if len(got) != 2 || got[0] != "ctx-a-"+term {
-					t.Errorf("wrong context for %q: %v", term, got)
+				got, err := cache.LookupErr(context.Background(), AsResourceErr(res), term)
+				if err != nil || len(got) != 2 || got[0] != "ctx-a-"+term {
+					t.Errorf("wrong context for %q: %v, %v", term, got, err)
 					return
 				}
 			}
@@ -99,7 +99,10 @@ func TestResourceCacheSingleFlightSharesInFlightDerivation(t *testing.T) {
 	cache := NewResourceCache()
 
 	first := make(chan []string, 1)
-	go func() { first <- cache.Lookup(res, "hot") }()
+	go func() {
+		out, _ := cache.LookupErr(context.Background(), AsResourceErr(res), "hot")
+		first <- out
+	}()
 	<-res.started // the derivation is in flight
 
 	var wg sync.WaitGroup
@@ -108,7 +111,7 @@ func TestResourceCacheSingleFlightSharesInFlightDerivation(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = cache.Lookup(res, "hot")
+			results[i], _ = cache.LookupErr(context.Background(), AsResourceErr(res), "hot")
 		}(i)
 	}
 	close(res.release)

@@ -56,25 +56,24 @@ func Efficiency(dr *DataRun, sampleDocs int) (*EfficiencyReport, error) {
 	if sampleDocs <= 0 || sampleDocs > dr.DS.Corpus.Len() {
 		sampleDocs = dr.DS.Corpus.Len()
 	}
-	corpus := dr.DS.Corpus
+	ctx := context.Background()
+	sub := subCorpus(dr.DS.Corpus, sampleDocs)
 	clock := dr.Lab.Clock
 	rep := &EfficiencyReport{Docs: sampleDocs}
 
 	texts := make([]string, sampleDocs)
 	for i := 0; i < sampleDocs; i++ {
-		doc := corpus.Doc(textdb.DocID(i))
+		doc := sub.Doc(textdb.DocID(i))
 		texts[i] = doc.Title + ". " + doc.Text
 	}
 
 	// Extractor stages.
-	importantAll := make([][]string, sampleDocs)
 	for _, name := range ExtractorOrder {
 		ex := dr.Extractor(name)
 		clock.Reset()
 		start := time.Now()
-		for i, text := range texts {
-			terms := ex.Extract(text)
-			importantAll[i] = append(importantAll[i], terms...)
+		for _, text := range texts {
+			ex.Extract(text)
 		}
 		rep.Extractors = append(rep.Extractors, StageCost{
 			Name:        name,
@@ -95,75 +94,47 @@ func Efficiency(dr *DataRun, sampleDocs int) (*EfficiencyReport, error) {
 		rep.LocalOnlyDocsPerSec = float64(sampleDocs) / localElapsed.Seconds()
 	}
 
-	// Deduplicate important terms per doc for expansion.
-	for i := range importantAll {
-		seen := map[string]bool{}
-		var ded []string
-		for _, t := range importantAll[i] {
-			if !seen[t] {
-				seen[t] = true
-				ded = append(ded, t)
-			}
-		}
-		importantAll[i] = ded
-	}
+	// Step 1 over the sample, untimed: the stages above time each
+	// extractor alone. The background context never ends and the lab's
+	// extractors never fail.
+	important, _, _ := core.IdentifyImportantReport(ctx, sub, dr.extractorSet(ExtAll), 0, 0)
 
-	// Resource stages: fresh cache so every distinct term costs a query.
+	// Resource stages: a fresh cache per resource, so every distinct term
+	// costs one query and the cache ends up holding one entry per query.
 	for _, name := range ResourceOrder {
-		r := dr.Lab.Resource(name)
+		r := core.AsResourceErr(dr.Lab.Resource(name))
 		clock.Reset()
 		cache := core.NewResourceCache()
 		start := time.Now()
-		queries := 0
-		seen := map[string]bool{}
-		for _, terms := range importantAll {
+		for _, terms := range important {
 			for _, t := range terms {
-				if !seen[t] {
-					seen[t] = true
-					queries++
-				}
-				cache.Lookup(r, t)
+				cache.LookupErr(ctx, r, t) // the lab's resources never fail
 			}
 		}
 		rep.Resources = append(rep.Resources, StageCost{
 			Name:        name,
 			CPUTime:     time.Since(start),
 			VirtualTime: clock.ServiceElapsed(name),
-			Queries:     queries,
+			Queries:     cache.Len(),
 		})
 	}
 	clock.Reset()
 
 	// Facet selection (Step 3) on the sample with all resources.
 	// The background context never ends and the lab's resources never fail.
-	contextTerms, _, _, _ := core.DeriveContextFallbackReport(context.Background(), importantAll, dr.Lab.Resources(ResourceOrder...), nil, dr.Lab.cache, 0)
-	sub := subCorpus(corpus, sampleDocs)
+	resources := dr.Lab.Resources(ResourceOrder...)
+	contextTerms, _, _, _ := core.DeriveContextFallbackReport(ctx, important, resources, nil, dr.Lab.cache, 0)
 	start = time.Now()
 	result := core.AnalyzeWith(sub, contextTerms, 200, core.AnalyzeOptions{})
 	rep.FacetSelection = time.Since(start)
 
-	// Hierarchy construction over the selected terms.
+	// Hierarchy construction over the selected terms, with documents
+	// assigned to them as everywhere else (core.AssignDocTerms).
 	terms := result.FacetTermStrings()
-	docTerms := make([][]string, sampleDocs)
-	termSet := map[string]bool{}
-	for _, t := range terms {
-		termSet[t] = true
-	}
-	for d := 0; d < sampleDocs; d++ {
-		for _, id := range sub.DocTerms(textdb.DocID(d)) {
-			if s := sub.Dict().String(id); termSet[s] {
-				docTerms[d] = append(docTerms[d], s)
-			}
-		}
-		for _, c := range contextTerms[d] {
-			if termSet[c] {
-				docTerms[d] = append(docTerms[d], c)
-			}
-		}
-	}
+	docTerms := core.AssignDocTerms(sub, important, core.ContextVotes(important, resources, dr.Lab.cache), terms)
 	b, _ := hierarchy.Lookup("subsumption") // registered by package hierarchy itself
 	start = time.Now()
-	if _, err := b.Build(context.Background(), terms, docTerms, hierarchy.BuildConfig{}); err != nil {
+	if _, err := b.Build(ctx, terms, docTerms, hierarchy.BuildConfig{}); err != nil {
 		return nil, err
 	}
 	rep.HierarchyConstruction = time.Since(start)

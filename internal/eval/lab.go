@@ -170,42 +170,35 @@ func (dr *DataRun) Extractor(name string) core.Extractor {
 	return e
 }
 
-// Important returns (computing once) the per-document important terms for
-// an extractor configuration: a single extractor name or ExtAll.
+// ExtAll selects all three extractors.
 const ExtAll = "All"
 
 // ResAll selects all four resources.
 const ResAll = "All"
 
+// Important returns (computing once) the per-document important terms for
+// an extractor configuration: a single extractor name or ExtAll.
 func (dr *DataRun) Important(extractor string) [][]string {
 	if cached, ok := dr.important[extractor]; ok {
 		return cached
 	}
-	var out [][]string
-	if extractor == ExtAll {
-		// Union of the three extractors per document, preserving order.
-		parts := make([][][]string, 0, len(ExtractorOrder))
-		for _, name := range ExtractorOrder {
-			parts = append(parts, dr.Important(name))
-		}
-		out = make([][]string, dr.DS.Corpus.Len())
-		for d := range out {
-			seen := map[string]bool{}
-			for _, p := range parts {
-				for _, t := range p[d] {
-					if !seen[t] {
-						seen[t] = true
-						out[d] = append(out[d], t)
-					}
-				}
-			}
-		}
-	} else {
-		// The background context never ends and the lab's extractors never
-		// fail, so Step 1 returns neither an error nor degradations.
-		out, _, _ = core.IdentifyImportantReport(context.Background(), dr.DS.Corpus, []core.Extractor{dr.Extractor(extractor)}, 0, 0)
-	}
+	// The background context never ends and the lab's extractors never
+	// fail, so Step 1 returns neither an error nor degradations.
+	out, _, _ := core.IdentifyImportantReport(context.Background(), dr.DS.Corpus, dr.extractorSet(extractor), 0, 0)
 	dr.important[extractor] = out
+	return out
+}
+
+// extractorSet resolves an extractor configuration name to extractors,
+// in ExtractorOrder for ExtAll.
+func (dr *DataRun) extractorSet(extractor string) []core.Extractor {
+	if extractor != ExtAll {
+		return []core.Extractor{dr.Extractor(extractor)}
+	}
+	out := make([]core.Extractor, len(ExtractorOrder))
+	for i, name := range ExtractorOrder {
+		out[i] = dr.Extractor(name)
+	}
 	return out
 }
 

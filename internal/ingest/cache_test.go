@@ -1,10 +1,13 @@
 package ingest
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // countingResource counts real Context calls so tests can observe misses.
@@ -20,17 +23,23 @@ func (r *countingResource) Context(term string) []string {
 	return []string{"ctx-" + term}
 }
 
+// lookup asks c about term through a plain resource, which never fails.
+func lookup(c *lruCache, r core.Resource, term string) []string {
+	out, _ := c.LookupErr(context.Background(), core.AsResourceErr(r), term)
+	return out
+}
+
 func TestLRUCacheHitsAndEviction(t *testing.T) {
 	r := &countingResource{name: "r"}
 	c := newLRUCache(2)
 
-	c.Lookup(r, "a") // miss
-	c.Lookup(r, "a") // hit
-	c.Lookup(r, "b") // miss
-	c.Lookup(r, "a") // hit — refreshes a's recency
-	c.Lookup(r, "c") // miss — evicts b (LRU)
-	c.Lookup(r, "a") // hit — a survived
-	c.Lookup(r, "b") // miss — b was evicted
+	lookup(c, r, "a") // miss
+	lookup(c, r, "a") // hit
+	lookup(c, r, "b") // miss
+	lookup(c, r, "a") // hit — refreshes a's recency
+	lookup(c, r, "c") // miss — evicts b (LRU)
+	lookup(c, r, "a") // hit — a survived
+	lookup(c, r, "b") // miss — b was evicted
 
 	hits, misses := c.Counters()
 	if hits != 3 || misses != 4 {
@@ -48,8 +57,8 @@ func TestLRUCacheKeysByResource(t *testing.T) {
 	a := &countingResource{name: "a"}
 	b := &countingResource{name: "b"}
 	c := newLRUCache(8)
-	c.Lookup(a, "term")
-	c.Lookup(b, "term")
+	lookup(c, a, "term")
+	lookup(c, b, "term")
 	if a.calls.Load() != 1 || b.calls.Load() != 1 {
 		t.Fatalf("same-term lookups collided across resources: a=%d b=%d", a.calls.Load(), b.calls.Load())
 	}
@@ -67,7 +76,7 @@ func TestLRUCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				term := fmt.Sprintf("t%d", (g+i)%32) // half fit, half churn
-				got := c.Lookup(r, term)
+				got := lookup(c, r, term)
 				if len(got) != 1 || got[0] != "ctx-"+term {
 					t.Errorf("wrong context for %s: %v", term, got)
 					return

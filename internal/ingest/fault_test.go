@@ -107,6 +107,81 @@ func TestDeadLetterAndRetry(t *testing.T) {
 	waitFor(t, "ingestion", func() bool { return ing.Stats().DocsIngested == 5 })
 }
 
+// downCounter is a resource that is down and counts the lookups it gets.
+type downCounter struct {
+	name  string
+	calls atomic.Int64
+}
+
+func (r *downCounter) Name() string            { return r.name }
+func (r *downCounter) Context(string) []string { return nil }
+
+func (r *downCounter) ContextErr(context.Context, string) ([]string, error) {
+	r.calls.Add(1)
+	return nil, errors.New(r.name + " is down")
+}
+
+// TestDeadLetterStopsAtFirstFailure: analysis stops at the first failure
+// the fallback cannot rescue, so a dead-lettered document costs no
+// lookups after it. The document's first important term is "alpha".
+func TestDeadLetterStopsAtFirstFailure(t *testing.T) {
+	deadLetter := func(t *testing.T, cfg Config) DeadLetterDoc {
+		t.Helper()
+		cfg.Extractors = []core.Extractor{wordExtractor{}}
+		ing, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ing.Bootstrap(testDocs(1), false); err != nil {
+			t.Fatal(err)
+		}
+		defer drain(t, ing)
+		dls := ing.DeadLetters()
+		if len(dls) != 1 || ing.Stats().DocsIngested != 0 {
+			t.Fatalf("dead letters %+v, stats %+v: want the one document dead-lettered", dls, ing.Stats())
+		}
+		if got := ing.Stats().FallbackLookups; got != 0 {
+			t.Fatalf("FallbackLookups = %d, want 0", got)
+		}
+		return dls[0]
+	}
+
+	t.Run("no fallback", func(t *testing.T) {
+		down := &downCounter{name: "down"}
+		healthy := &countingResource{name: "healthy"}
+		dl := deadLetter(t, Config{Resources: []core.Resource{down, healthy}})
+		if d, h := down.calls.Load(), healthy.calls.Load(); d != 1 || h != 0 {
+			t.Fatalf("lookups: down %d, healthy %d; want 1, 0", d, h)
+		}
+		if want := `resource down("alpha"): down is down`; dl.Err != want {
+			t.Fatalf("Err = %q, want %q", dl.Err, want)
+		}
+	})
+	t.Run("partial failure with fallback", func(t *testing.T) {
+		down := &downCounter{name: "down"}
+		healthy := &countingResource{name: "healthy"}
+		fallback := &countingResource{name: "corpus"}
+		dl := deadLetter(t, Config{Resources: []core.Resource{down, healthy}, Fallback: fallback})
+		if d, h, f := down.calls.Load(), healthy.calls.Load(), fallback.calls.Load(); d != 1 || h != 1 || f != 0 {
+			t.Fatalf("lookups: down %d, healthy %d, fallback %d; want 1, 1, 0", d, h, f)
+		}
+		if want := `resource down("alpha"): down is down`; dl.Err != want {
+			t.Fatalf("Err = %q, want %q", dl.Err, want)
+		}
+	})
+	t.Run("fallback down too", func(t *testing.T) {
+		down := &downCounter{name: "down"}
+		fallback := &downCounter{name: "corpus"}
+		dl := deadLetter(t, Config{Resources: []core.Resource{down}, Fallback: fallback})
+		if d, f := down.calls.Load(), fallback.calls.Load(); d != 1 || f != 1 {
+			t.Fatalf("lookups: down %d, fallback %d; want 1, 1", d, f)
+		}
+		if want := `fallback corpus("alpha"): corpus is down`; dl.Err != want {
+			t.Fatalf("Err = %q, want %q", dl.Err, want)
+		}
+	})
+}
+
 func TestDeadLetterBounded(t *testing.T) {
 	res := &toggleResource{mapResource: testResource()}
 	cfg := testConfig()

@@ -33,6 +33,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -72,7 +73,8 @@ type Config struct {
 	// TopK bounds the number of facet terms per rebuild (0 = 200, the
 	// paper's working value).
 	TopK int
-	// SubsumptionThreshold is θ for hierarchy construction (0 = 0.8).
+	// SubsumptionThreshold is θ for hierarchy construction, in [0,1]
+	// (0 = 0.8).
 	SubsumptionThreshold float64
 	// HierarchyBuilder selects the hierarchy strategy by registry name
 	// (hierarchy.Names); "" = "subsumption". Taxonomy-backed builders
@@ -201,6 +203,9 @@ func New(cfg Config) (*Ingester, error) {
 	if len(cfg.Resources) == 0 {
 		return nil, fmt.Errorf("ingest: no resources configured")
 	}
+	if th := cfg.SubsumptionThreshold; math.IsNaN(th) || th < 0 || th > 1 {
+		return nil, fmt.Errorf("ingest: SubsumptionThreshold %v outside [0,1]", th)
+	}
 	if cfg.HierarchyBuilder != "" {
 		if _, ok := hierarchy.Lookup(cfg.HierarchyBuilder); !ok {
 			return nil, fmt.Errorf("ingest: unknown hierarchy builder %q", cfg.HierarchyBuilder)
@@ -295,90 +300,33 @@ type analysis struct {
 	votes     map[string]int
 }
 
-// analyze runs Fig. 1 (important-term identification, the union of all
-// extractors, first-extractor-first) and Fig. 2 (context expansion
-// through the LRU cache) for one document. No locks are held; this is the
-// CPU-bound work the worker pool shards.
+// analyze runs Fig. 1 (core.ImportantTerms) and Fig. 2
+// (core.ContextTerms, through the LRU cache) for one document. No locks
+// are held; this is the CPU-bound work the worker pool shards.
 //
-// Any dependency failure — an extractor, or a resource lookup that the
-// resilience layer gave up on — fails the whole analysis: a document is
-// either ingested with its complete term sets or dead-lettered and
-// retried later, never half-expanded (a partial expansion would silently
-// skew the DF tables against the paper's Fig. 2 semantics).
+// Any dependency failure the fallback cannot rescue — an extractor, or a
+// resource lookup that the resilience layer gave up on — fails the whole
+// analysis at once: a document is either ingested with its complete term
+// sets or dead-lettered and retried later, never half-expanded (a
+// partial expansion would silently skew the DF tables against the
+// paper's Fig. 2 semantics).
 func (ing *Ingester) analyze(ctx context.Context, doc *textdb.Document) (analysis, error) {
-	text := doc.Title + ". " + doc.Text
-	seen := map[string]bool{}
-	var terms []string
-	for _, ex := range ing.extractors {
-		extracted, err := ex.ExtractErr(ctx, text)
-		if err != nil {
-			return analysis{}, fmt.Errorf("extractor %s: %w", ex.Name(), err)
-		}
-		for _, t := range extracted {
-			if t == "" || seen[t] {
-				continue
-			}
-			seen[t] = true
-			terms = append(terms, t)
-		}
+	important, err := core.ImportantTerms(ctx, doc.Title+". "+doc.Text, ing.extractors, ing.cfg.MaxImportantPerDoc, func(name string, err error) error {
+		return fmt.Errorf("extractor %s: %w", name, err)
+	})
+	if err != nil {
+		return analysis{}, err
 	}
-	if max := ing.cfg.MaxImportantPerDoc; max > 0 && len(terms) > max {
-		terms = terms[:max]
+	terms, votes, rescued, err := core.ContextTerms(ctx, important, ing.resources, ing.fallback, ing.cache.LookupErr, func(err *core.LookupError) error {
+		return err
+	})
+	// Terms the fallback answered count even when a later term
+	// dead-letters the document: the lookups were made.
+	ing.fallbackLookups.Add(int64(rescued))
+	if err != nil {
+		return analysis{}, err
 	}
-	a := analysis{important: terms, votes: map[string]int{}}
-	seenCtx := map[string]bool{}
-	for _, t := range terms {
-		seenTerm := map[string]bool{}
-		merge := func(lookedUp []string) {
-			for _, c := range lookedUp {
-				if c == "" {
-					continue
-				}
-				if !seenTerm[c] { // one vote per (important term, context term)
-					seenTerm[c] = true
-					a.votes[c]++
-				}
-				if !seenCtx[c] {
-					seenCtx[c] = true
-					a.ctx = append(a.ctx, c)
-				}
-			}
-		}
-		failed := 0
-		var firstErr error
-		for _, r := range ing.resources {
-			lookedUp, err := ing.cache.LookupErr(ctx, r, t)
-			if err != nil {
-				err = fmt.Errorf("resource %s(%q): %w", r.Name(), t, err)
-				if ing.fallback == nil {
-					return analysis{}, err
-				}
-				// With a fallback configured, keep trying the remaining
-				// resources: only a TOTAL failure for this term is
-				// rescuable, and we need to know which case this is.
-				failed++
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			merge(lookedUp)
-		}
-		if failed > 0 {
-			if failed < len(ing.resources) {
-				// Partial outage: some resource answered, so admitting now
-				// would half-expand the document. Dead-letter and retry.
-				return analysis{}, firstErr
-			}
-			lookedUp, err := ing.cache.LookupErr(ctx, ing.fallback, t)
-			if err != nil {
-				return analysis{}, fmt.Errorf("fallback %s(%q): %w", ing.fallback.Name(), t, err)
-			}
-			ing.fallbackLookups.Add(1)
-			merge(lookedUp)
-		}
-	}
-	return a, nil
+	return analysis{important: important, ctx: terms, votes: votes}, nil
 }
 
 // process analyzes one document and either admits it into the pipeline

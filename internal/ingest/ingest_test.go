@@ -3,6 +3,9 @@ package ingest
 import (
 	"context"
 	"fmt"
+	"maps"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -168,6 +171,119 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 	}
 	if st := ing.Stats(); st.Epochs < 2 {
 		t.Fatalf("expected >= 2 epochs (bootstrap + increments), got %d", st.Epochs)
+	}
+
+	// The live forest and every document's assignment equal a batch
+	// build over the batch ranking. Streamed documents are admitted in
+	// completion order, so documents are matched by title.
+	votes := core.ContextVotes(batch.Important, batch.Resources, nil)
+	docTerms := core.AssignDocTerms(corpus, batch.Important, votes, want)
+	builder, _ := hierarchy.Lookup("subsumption")
+	batchForest, err := builder.Build(context.Background(), want, docTerms, hierarchy.BuildConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live, batch := hierarchy.FormatTree(iface.Forest()), hierarchy.FormatTree(batchForest); live != batch {
+		t.Fatalf("live forest:\n%s\nbatch forest:\n%s", live, batch)
+	}
+	liveRows := map[string]string{}
+	for d, row := range iface.DocTermRows() {
+		liveRows[iface.Corpus().Doc(textdb.DocID(d)).Title] = strings.Join(row, "|")
+	}
+	for d, row := range docTerms {
+		title := corpus.Doc(textdb.DocID(d)).Title
+		if live, batch := liveRows[title], strings.Join(row, "|"); live != batch {
+			t.Fatalf("%s: live assignment %q, batch %q", title, live, batch)
+		}
+	}
+}
+
+// TestAnalyzeMatchesCore: ingest's per-document analysis is core's
+// Step 1 and Step 2. On a healthy corpus its important terms, context
+// rows and votes equal IdentifyImportantReport's, DeriveContextFallback-
+// Report's and ContextVotes'; under a total outage with a fallback its
+// context rows and rescue count equal DeriveContextFallbackReport's.
+func TestAnalyzeMatchesCore(t *testing.T) {
+	ctx := context.Background()
+	names, err := core.NewGlossaryExtractor("names", []string{"chirac", "berlin summit", "yankees"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	more := mapResource{name: "more", m: map[string][]string{
+		"chirac":        {"france", "leaders"},
+		"berlin summit": {"summits", "germany"},
+		"night":         {"time"},
+	}}
+	cfg := testConfig()
+	cfg.Extractors = []core.Extractor{wordExtractor{}, names}
+	cfg.Resources = []core.Resource{testResource(), more}
+	docs := testDocs(9)
+	corpus := textdb.NewCorpus()
+	for _, d := range docs {
+		corpus.Add(d)
+	}
+	important, _, err := core.IdentifyImportantReport(ctx, corpus, cfg.Extractors, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, _, _, err := core.DeriveContextFallbackReport(ctx, important, cfg.Resources, nil, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	votes := core.ContextVotes(important, cfg.Resources, nil)
+	ing, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d, doc := range docs {
+		a, err := ing.analyze(ctx, doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(a.important, important[d]) {
+			t.Fatalf("doc %d: important %v, core %v", d, a.important, important[d])
+		}
+		if !slices.Equal(a.ctx, rows[d]) {
+			t.Fatalf("doc %d: context %v, core %v", d, a.ctx, rows[d])
+		}
+		if !maps.Equal(a.votes, votes[d]) {
+			t.Fatalf("doc %d: votes %v, core %v", d, a.votes, votes[d])
+		}
+	}
+	if votes[1]["germany"] != 3 {
+		t.Fatalf("doc 1 votes %v: want germany corroborated by 3 terms", votes[1])
+	}
+
+	// Total outage: every resource is down and the fallback answers.
+	down1 := &toggleResource{mapResource: testResource()}
+	down2 := &toggleResource{mapResource: more}
+	down1.down.Store(true)
+	down2.down.Store(true)
+	cfg.Resources = []core.Resource{down1, down2}
+	cfg.Fallback = mapResource{name: "corpus", m: map[string][]string{
+		"chirac": {"politicians"},
+		"paris":  {"france", "politicians"},
+		"night":  {"time"},
+	}}
+	rows, _, rescued, err := core.DeriveContextFallbackReport(ctx, important, cfg.Resources, cfg.Fallback, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ing, err = New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d, doc := range docs {
+		a, err := ing.analyze(ctx, doc)
+		if err != nil {
+			t.Fatalf("doc %d dead-lettered under a rescued outage: %v", d, err)
+		}
+		if !slices.Equal(a.ctx, rows[d]) {
+			t.Fatalf("doc %d: fallback context %v, core %v", d, a.ctx, rows[d])
+		}
+	}
+	if got := ing.Stats().FallbackLookups; got != int64(rescued) || rescued == 0 {
+		t.Fatalf("FallbackLookups = %d, core rescued %d", got, rescued)
 	}
 }
 
@@ -358,5 +474,19 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Extractors: []core.Extractor{wordExtractor{}}}); err == nil {
 		t.Fatal("no resources accepted")
+	}
+	for _, th := range []float64{-0.1, 1.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := testConfig()
+		cfg.SubsumptionThreshold = th
+		if _, err := New(cfg); err == nil {
+			t.Fatalf("SubsumptionThreshold %v accepted", th)
+		}
+	}
+	for _, th := range []float64{0, 0.5, 1} {
+		cfg := testConfig()
+		cfg.SubsumptionThreshold = th
+		if _, err := New(cfg); err != nil {
+			t.Fatalf("SubsumptionThreshold %v rejected: %v", th, err)
+		}
 	}
 }

@@ -234,13 +234,15 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 	}
 
 	for b := 0; b < batches; b++ {
+		// Count the batch before posting it: the ingester may publish
+		// the batch's epoch before the POST returns.
+		posted.Add(perPost)
 		req := httptest.NewRequest(http.MethodPost, "/api/v1/ingest", ingestBody(liveDocs(perPost, bootstrapDocs+b*perPost)))
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("ingest batch %d: status %d: %s", b, rec.Code, rec.Body.String())
 		}
-		posted.Add(perPost)
 	}
 
 	if err := ing.Close(context.Background()); err != nil {

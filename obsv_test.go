@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -41,6 +42,58 @@ func TestExtractFacetsContextCancellation(t *testing.T) {
 	defer dcancel()
 	if _, err := sys.ExtractFacetsContext(dctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// countingExtractor marks nothing important and counts its calls.
+type countingExtractor struct{ calls atomic.Int64 }
+
+func (e *countingExtractor) Name() string { return "Counting" }
+
+func (e *countingExtractor) Extract(string) []string {
+	e.calls.Add(1)
+	return nil
+}
+
+// TestDistributionalModelBuiltOnce: with the corpus-only model selected
+// both as a resource and as the fallback, one extraction builds it once,
+// so each extractor sees every document twice (the model's Step 1 and
+// the pipeline's). The build runs under the extraction's ctx: a canceled
+// ctx returns before any document is extracted.
+func TestDistributionalModelBuiltOnce(t *testing.T) {
+	env := testEnv(t)
+	docs, err := env.GenerateNewsCorpus("SNYT", 40, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter := &countingExtractor{}
+	sys, err := NewSystem(env, Options{
+		Resources:       []string{"Distributional"},
+		CorpusFallback:  true,
+		ExtraExtractors: []TermExtractor{counter},
+		Workers:         2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range docs {
+		sys.Add(d)
+	}
+	if _, err := sys.ExtractFacets(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := counter.calls.Load(), int64(2*len(docs)); got != want {
+		t.Fatalf("extractor called %d times for %d documents, want %d", got, len(docs), want)
+	}
+
+	counter.calls.Store(0)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := sys.ExtractFacetsContext(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if got := counter.calls.Load(); got != 0 {
+		t.Fatalf("canceled extraction called the extractor %d times, want 0", got)
 	}
 }
 
