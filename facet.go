@@ -36,6 +36,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/browse"
@@ -202,6 +203,12 @@ type System struct {
 	opts    Options
 	corpus  *textdb.Corpus
 	metrics *obsv.Registry
+
+	// distMu guards the corpus-only model last built (dist) and the
+	// corpus length it was built at (distDocs).
+	distMu   sync.Mutex
+	dist     core.Resource
+	distDocs int
 }
 
 // SetMetrics instruments subsequent extractions: pipeline stage durations
@@ -325,15 +332,26 @@ func (s *System) selectsDistributional() bool {
 	return slices.Contains(s.opts.Resources, "Distributional") || slices.Contains(s.opts.Resources, "corpus")
 }
 
-// buildDistributional builds the corpus-only context resource over the
-// currently indexed documents: Step 1 runs with extractors to collect
-// per-document important terms, and distctx.Build turns their
-// co-occurrence structure into top-N neighbor vectors. The extraction
-// cost is paid again when the pipeline proper runs — the model has to
-// exist before Step 2 starts, and Step 1 is the cheap stage (see
-// StageReport). An empty corpus yields an inert model that answers nil
-// for every term. It returns ctx's error once ctx is done.
-func (s *System) buildDistributional(ctx context.Context, extractors []core.Extractor) (core.Resource, error) {
+// distributional returns the corpus-only context resource over the
+// currently indexed documents. The model last built is kept and reused
+// until Add grows the corpus, so one model serves as resource and as
+// fallback, in extractions and through CoreResources and CoreFallback.
+// To build one, Step 1 runs with extractors (nil selects the configured
+// ones) to collect per-document important terms, and distctx.Build turns
+// their co-occurrence structure into top-N neighbor vectors. The
+// extraction cost is paid again when the pipeline proper runs — the
+// model has to exist before Step 2 starts, and Step 1 is the cheap stage
+// (see StageReport). An empty corpus yields an inert model that answers
+// nil for every term. It returns ctx's error once ctx is done.
+func (s *System) distributional(ctx context.Context, extractors []core.Extractor) (core.Resource, error) {
+	s.distMu.Lock()
+	defer s.distMu.Unlock()
+	if s.dist != nil && s.distDocs == s.corpus.Len() {
+		return s.dist, nil
+	}
+	if extractors == nil {
+		extractors = s.buildExtractors()
+	}
 	// Extractor degradations are reported when the pipeline proper runs
 	// Step 1 again.
 	important, _, err := core.IdentifyImportantReport(ctx, s.corpus, extractors, 0, s.opts.Workers)
@@ -350,6 +368,7 @@ func (s *System) buildDistributional(ctx context.Context, extractors []core.Extr
 	if err != nil {
 		return nil, err
 	}
+	s.dist, s.distDocs = m, s.corpus.Len()
 	return m, nil
 }
 
@@ -367,7 +386,7 @@ func (s *System) CoreResources() []core.Resource {
 	var dist core.Resource
 	if s.selectsDistributional() {
 		// The background context never ends, so the build cannot fail.
-		dist, _ = s.buildDistributional(context.Background(), s.buildExtractors())
+		dist, _ = s.distributional(context.Background(), nil)
 	}
 	return s.buildResources(dist)
 }
@@ -381,7 +400,7 @@ func (s *System) CoreFallback() core.Resource {
 		return nil
 	}
 	// The background context never ends, so the build cannot fail.
-	dist, _ := s.buildDistributional(context.Background(), s.buildExtractors())
+	dist, _ := s.distributional(context.Background(), nil)
 	return dist
 }
 
@@ -453,7 +472,7 @@ func (s *System) ExtractFacetsContext(ctx context.Context) (*Result, error) {
 	var dist core.Resource
 	if s.selectsDistributional() || s.opts.CorpusFallback {
 		var err error
-		if dist, err = s.buildDistributional(ctx, extractors); err != nil {
+		if dist, err = s.distributional(ctx, extractors); err != nil {
 			return nil, err
 		}
 	}

@@ -22,6 +22,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -678,33 +679,49 @@ func ContextVotesContext(ctx context.Context, important [][]string, resources []
 // two of its important terms vote for (one when the document has fewer
 // than two important terms), sorted and deduplicated. votes is
 // ContextVotes' output over the same important rows.
+//
+// Text occurrence is tested by term ID and votes are read only for the
+// facet terms, so a document costs O(its terms + len(terms)).
 func AssignDocTerms(corpus *textdb.Corpus, important [][]string, votes []map[string]int, terms []string) [][]string {
-	termSet := make(map[string]bool, len(terms))
-	for _, t := range terms {
-		termSet[t] = true
-	}
-	dict := corpus.Dict()
-	docTerms := make([][]string, corpus.Len())
+	// Build every document's term row first: it interns the document's
+	// terms, and a facet term not yet interned would have no ID to match.
 	for d := 0; d < corpus.Len(); d++ {
-		present := map[string]bool{}
+		corpus.DocTerms(textdb.DocID(d))
+	}
+	facets := slices.Clone(terms)
+	slices.Sort(facets)
+	facets = slices.Compact(facets)
+	ids := make([]textdb.TermID, len(facets))
+	maxID := textdb.NoTerm
+	for i, t := range facets {
+		ids[i] = corpus.Dict().Lookup(t)
+		maxID = max(maxID, ids[i])
+	}
+	// slot[id] is 1 + the index in facets of the facet term with that ID.
+	slot := make([]int32, maxID+1)
+	for i, id := range ids {
+		if id != textdb.NoTerm {
+			slot[id] = int32(i) + 1
+		}
+	}
+	present := make([]bool, len(facets))
+	docTerms := make([][]string, corpus.Len())
+	for d := range docTerms {
+		clear(present)
 		for _, id := range corpus.DocTerms(textdb.DocID(d)) {
-			if s := dict.String(id); termSet[s] {
-				present[s] = true
+			if int(id) < len(slot) && slot[id] > 0 {
+				present[slot[id]-1] = true
 			}
 		}
 		need := 2
 		if len(important[d]) < 2 {
 			need = 1
 		}
-		for c, v := range votes[d] {
-			if v >= need && termSet[c] {
-				present[c] = true
+		for i, t := range facets {
+			if present[i] || votes[d][t] >= need {
+				docTerms[d] = append(docTerms[d], t)
 			}
 		}
-		for t := range present {
-			docTerms[d] = append(docTerms[d], t)
-		}
-		sort.Strings(docTerms[d])
 	}
 	return docTerms
 }

@@ -36,7 +36,9 @@ func Workers(n int) int {
 // path the equivalence guarantee is stated against.
 //
 // ctx is checked between items on every worker; the first error observed
-// aborts the loop and is returned after all workers have stopped.
+// aborts the loop and is returned after all workers have stopped. A ctx
+// done by the end of the loop is an error too, even if every item ran:
+// an item may have stopped short because ctx ended during it.
 func For(ctx context.Context, n, workers int, fn func(worker, i int)) error {
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
@@ -45,7 +47,7 @@ func For(ctx context.Context, n, workers int, fn func(worker, i int)) error {
 			}
 			fn(0, i)
 		}
-		return nil
+		return ctx.Err()
 	}
 	if workers > n {
 		workers = n

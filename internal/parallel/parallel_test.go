@@ -2,6 +2,8 @@ package parallel
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -87,6 +89,32 @@ func TestForHonorsCancellation(t *testing.T) {
 	}
 	if done.Load() == 100000 {
 		t.Fatal("cancellation did not stop the loop early")
+	}
+}
+
+// TestForCanceledDuringLastItem: a ctx canceled while the last item runs
+// fails the loop at every worker count, since that item may have stopped
+// short; no later check between items would see it.
+func TestForCanceledDuringLastItem(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			const n = 8
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var ran atomic.Int32
+			err := For(ctx, n, workers, func(_, i int) {
+				ran.Add(1)
+				if i == n-1 {
+					cancel()
+				}
+			})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if got := ran.Load(); got != n {
+				t.Fatalf("%d of %d items ran", got, n)
+			}
+		})
 	}
 }
 

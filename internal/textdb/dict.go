@@ -8,7 +8,9 @@
 package textdb
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -31,6 +33,12 @@ type Dictionary struct {
 	mu     sync.RWMutex
 	byTerm map[string]TermID
 	terms  []string
+
+	// order is every term ID interned before the last SortedIDs call,
+	// ordered by term text. It is replaced, never modified, so a slice
+	// SortedIDs returned stays valid; orderMu serializes the updates.
+	orderMu sync.Mutex
+	order   []TermID
 }
 
 // NewDictionary returns an empty dictionary. Its map grows with use
@@ -87,14 +95,37 @@ func (d *Dictionary) Len() int {
 }
 
 // SortedIDs returns all term IDs ordered by term text; used where
-// deterministic iteration over a dictionary is required.
+// deterministic iteration over a dictionary is required. The order is
+// kept between calls: only the terms interned since the last call are
+// sorted, and each is inserted at the place a binary search finds, so a
+// growing dictionary (a live corpus ranking its terms every epoch) pays
+// a copy of the order plus O(new terms · log vocabulary) comparisons per
+// call. The result is shared and must not be modified.
 func (d *Dictionary) SortedIDs() []TermID {
+	d.orderMu.Lock()
+	defer d.orderMu.Unlock()
+	// Interning only appends, and a term's text never changes, so the
+	// terms this slice holds can be read after the lock is released,
+	// while Intern goes on appending.
 	d.mu.RLock()
-	defer d.mu.RUnlock()
-	ids := make([]TermID, len(d.terms))
-	for i := range ids {
-		ids[i] = TermID(i)
+	terms := d.terms
+	d.mu.RUnlock()
+	old := d.order
+	if len(old) == len(terms) {
+		return old
 	}
-	sort.Slice(ids, func(a, b int) bool { return d.terms[ids[a]] < d.terms[ids[b]] })
-	return ids
+	fresh := make([]TermID, len(terms)-len(old))
+	for i := range fresh {
+		fresh[i] = TermID(len(old) + i)
+	}
+	slices.SortFunc(fresh, func(a, b TermID) int { return strings.Compare(terms[a], terms[b]) })
+	merged := make([]TermID, 0, len(terms))
+	for _, id := range fresh {
+		i := sort.Search(len(old), func(i int) bool { return terms[old[i]] > terms[id] })
+		merged = append(append(merged, old[:i]...), id)
+		old = old[i:]
+	}
+	merged = append(merged, old...)
+	d.order = merged
+	return merged
 }

@@ -1,7 +1,9 @@
 package textdb
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -32,6 +34,9 @@ const (
 
 // BuildIndex indexes every document in the corpus. Stopwords are not
 // indexed. Title tokens are counted twice, a conventional field boost.
+// Each document's row (its distinct indexed terms with their counts) is
+// built once and kept by the corpus, so indexing a snapshot of a growing
+// corpus tokenizes only the documents no earlier index or snapshot saw.
 func BuildIndex(c *Corpus) *Index {
 	ix := &Index{
 		corpus:   c,
@@ -39,36 +44,63 @@ func BuildIndex(c *Corpus) *Index {
 		docLen:   make([]int32, c.Len()),
 	}
 	counts := map[TermID]int32{}
-	for _, doc := range c.Docs() {
-		clear(counts)
-		var n int32
-		for _, tok := range lang.Tokenize(doc.Text) {
-			if lang.IsStopword(tok.Norm) || len(tok.Norm) < 2 {
-				continue
-			}
-			counts[c.dict.Intern(tok.Norm)]++
-			n++
-		}
-		for _, tok := range lang.Tokenize(doc.Title) {
-			if lang.IsStopword(tok.Norm) || len(tok.Norm) < 2 {
-				continue
-			}
-			counts[c.dict.Intern(tok.Norm)] += 2
-			n += 2
-		}
-		ix.docLen[doc.ID] = n
-		ix.totalLen += int64(n)
+	for i := range c.docs {
+		doc := DocID(i)
+		row := c.indexRow(doc, counts)
+		ix.docLen[doc] = row.length
+		ix.totalLen += int64(row.length)
 		// Deterministic posting order: docs are added in ID order.
-		ids := make([]TermID, 0, len(counts))
-		for id := range counts {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-		for _, id := range ids {
-			ix.postings[id] = append(ix.postings[id], posting{doc.ID, counts[id]})
+		for _, e := range row.terms {
+			ix.postings[e.id] = append(ix.postings[e.id], posting{doc, e.tf})
 		}
 	}
 	return ix
+}
+
+// indexEntry is one distinct indexed term of a document with its count.
+type indexEntry struct {
+	id TermID
+	tf int32
+}
+
+// indexRow is one document's row of the keyword index: its distinct
+// indexed terms in term-ID order, and its length, the sum of their
+// counts. A nil terms slice marks a row not built yet.
+type indexRow struct {
+	terms  []indexEntry
+	length int32
+}
+
+// indexRow returns the document's keyword-index row, building and
+// caching it on first use. counts is scratch space, cleared on entry.
+func (c *Corpus) indexRow(id DocID, counts map[TermID]int32) indexRow {
+	if row := c.indexRows[id]; row.terms != nil {
+		return row
+	}
+	clear(counts)
+	var n int32
+	doc := c.docs[id]
+	for _, tok := range lang.Tokenize(doc.Text) {
+		if lang.IsStopword(tok.Norm) || len(tok.Norm) < 2 {
+			continue
+		}
+		counts[c.dict.Intern(tok.Norm)]++
+		n++
+	}
+	for _, tok := range lang.Tokenize(doc.Title) {
+		if lang.IsStopword(tok.Norm) || len(tok.Norm) < 2 {
+			continue
+		}
+		counts[c.dict.Intern(tok.Norm)] += 2
+		n += 2
+	}
+	row := indexRow{terms: make([]indexEntry, 0, len(counts)), length: n}
+	for id, tf := range counts {
+		row.terms = append(row.terms, indexEntry{id, tf})
+	}
+	slices.SortFunc(row.terms, func(a, b indexEntry) int { return cmp.Compare(a.id, b.id) })
+	c.indexRows[id] = row
+	return row
 }
 
 // Hit is one search result.

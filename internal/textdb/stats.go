@@ -1,9 +1,6 @@
 package textdb
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // DFTable accumulates document frequencies over a collection. The
 // comparative term-frequency analysis (Step 3, Figure 3 of the paper)
@@ -106,33 +103,63 @@ type RankTable struct {
 // Ranks computes the rank table for the current counts. Ties are broken
 // by term text so that results are deterministic.
 func (t *DFTable) Ranks() *RankTable {
-	type entry struct {
-		id TermID
-		df int32
-	}
-	entries := make([]entry, 0, len(t.df))
-	for id, df := range t.df {
-		if df > 0 {
-			entries = append(entries, entry{TermID(id), df})
+	pos, n := t.byDF(1)
+	// pos becomes the rank slice: 1-based ranks, unranked terms last.
+	for id, p := range pos {
+		if p < 0 {
+			pos[id] = int32(n) + 1
+		} else {
+			pos[id] = p + 1
 		}
 	}
-	sort.Slice(entries, func(a, b int) bool {
-		if entries[a].df != entries[b].df {
-			return entries[a].df > entries[b].df
+	return &RankTable{rank: pos, maxRank: int32(n)}
+}
+
+// byDF orders the terms counted in at least minDF (>= 1) documents by
+// document frequency, highest first, ties by term text. It returns, per
+// term ID, the term's 0-based position in that order (-1 for a term
+// below minDF), and how many terms qualified. It is one counting pass
+// over the dictionary's text order, which the dictionary keeps between
+// calls, instead of a comparison sort of the vocabulary. Every counted
+// term must be interned in the table's dictionary.
+func (t *DFTable) byDF(minDF int) (pos []int32, n int) {
+	maxDF := 0
+	for _, c := range t.df {
+		maxDF = max(maxDF, int(c))
+	}
+	pos = make([]int32, len(t.df))
+	for id := range pos {
+		pos[id] = -1
+	}
+	if minDF > maxDF {
+		return pos, 0
+	}
+	// next[c] starts as the number of qualifying terms counted in more
+	// than c documents: the position of the first term counted in c.
+	next := make([]int32, maxDF+1)
+	for _, c := range t.df {
+		if int(c) >= minDF {
+			next[c]++
 		}
-		return t.dict.String(entries[a].id) < t.dict.String(entries[b].id)
-	})
-	rt := &RankTable{
-		rank:    make([]int32, len(t.df)),
-		maxRank: int32(len(entries)),
 	}
-	for i := range rt.rank {
-		rt.rank[i] = rt.maxRank + 1
+	var above int32
+	for c := maxDF; c >= minDF; c-- {
+		above, next[c] = above+next[c], above
 	}
-	for i, e := range entries {
-		rt.rank[e.id] = int32(i + 1)
+	for _, id := range t.dict.SortedIDs() {
+		if int(id) >= len(t.df) {
+			continue
+		}
+		if c := t.df[id]; int(c) >= minDF {
+			pos[id] = next[c]
+			next[c]++
+			n++
+		}
 	}
-	return rt
+	if n != int(above) {
+		panic("textdb: DF table counts terms its dictionary does not hold")
+	}
+	return pos, n
 }
 
 // Rank returns the 1-based frequency rank of the term; unseen terms get
@@ -159,28 +186,12 @@ func Bin(rank int) int {
 // TopTerms returns the k most frequent terms (by document frequency,
 // ties by text), excluding terms with df below minDF.
 func (t *DFTable) TopTerms(k, minDF int) []TermID {
-	type entry struct {
-		id TermID
-		df int32
-	}
-	var entries []entry
-	for id, df := range t.df {
-		if int(df) >= minDF && df > 0 {
-			entries = append(entries, entry{TermID(id), df})
+	pos, n := t.byDF(max(minDF, 1))
+	out := make([]TermID, min(k, n))
+	for id, p := range pos {
+		if p >= 0 && int(p) < len(out) {
+			out[p] = TermID(id)
 		}
-	}
-	sort.Slice(entries, func(a, b int) bool {
-		if entries[a].df != entries[b].df {
-			return entries[a].df > entries[b].df
-		}
-		return t.dict.String(entries[a].id) < t.dict.String(entries[b].id)
-	})
-	if k > len(entries) {
-		k = len(entries)
-	}
-	out := make([]TermID, k)
-	for i := 0; i < k; i++ {
-		out[i] = entries[i].id
 	}
 	return out
 }

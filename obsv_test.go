@@ -97,6 +97,46 @@ func TestDistributionalModelBuiltOnce(t *testing.T) {
 	}
 }
 
+// TestCoreSeamsShareDistributionalModel: facetserve's live wiring asks
+// for the resources and then for the fallback. With the model selected
+// as both, one Step 1 builds it, and the fallback is the resource's
+// instance. Add invalidates it.
+func TestCoreSeamsShareDistributionalModel(t *testing.T) {
+	env := testEnv(t)
+	docs, err := env.GenerateNewsCorpus("SNYT", 40, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter := &countingExtractor{}
+	sys, err := NewSystem(env, Options{
+		Resources:       []string{"Distributional"},
+		CorpusFallback:  true,
+		ExtraExtractors: []TermExtractor{counter},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range docs {
+		sys.Add(d)
+	}
+	resources := sys.CoreResources()
+	fallback := sys.CoreFallback()
+	if got, want := counter.calls.Load(), int64(len(docs)); got != want {
+		t.Fatalf("extractor called %d times for %d documents, want %d", got, len(docs), want)
+	}
+	if len(resources) != 1 || fallback == nil || resources[0] != fallback {
+		t.Fatalf("fallback %v is not the resource of %v", fallback, resources)
+	}
+
+	sys.Add(docs[0])
+	if sys.CoreFallback() == fallback {
+		t.Fatal("the model built before Add outlived it")
+	}
+	if got, want := counter.calls.Load(), int64(2*len(docs)+1); got != want {
+		t.Fatalf("extractor called %d times after Add, want %d", got, want)
+	}
+}
+
 // cancelingResource answers every lookup with nothing. Once armed with
 // a cancel function it counts its lookups and cancels on each.
 type cancelingResource struct {
