@@ -70,7 +70,6 @@ func main() {
 	}
 
 	fmt.Printf("\nCombine facet %q with a keyword query:\n", top)
-	kids := b.Children(top, sel)
 	query := "summit"
 	combined := b.Docs(facet.Selection{Terms: []string{top}, Query: query})
 	fmt.Printf("  facet=%q AND query=%q -> %d docs\n", top, query, len(combined))
@@ -80,7 +79,6 @@ func main() {
 		}
 		fmt.Printf("    %s\n", sys.Document(d).Title)
 	}
-	_ = kids
 
 	if len(roots) >= 2 {
 		a, c := roots[0].Term, roots[1].Term

@@ -49,14 +49,10 @@ func (agglomerativeBuilder) Build(ctx context.Context, terms []string, docTerms 
 	if cfg.MinDF == 0 {
 		cfg.MinDF = 2
 	}
-	st := newTermStats(terms, docTerms, cfg.MinDF)
-	if cfg.denseSweep {
-		return aggBuildDense(ctx, st, minSim, cfg)
-	}
-	return aggBuildSparse(ctx, st, minSim, cfg)
+	return aggBuildSparse(ctx, newTermStats(terms, docTerms, cfg.MinDF), minSim, cfg)
 }
 
-// aggBuildSparse is the default clustering path: the similarity matrix
+// aggBuildSparse is the clustering path: the similarity matrix
 // is built sparse from the pairIndex — only pairs with nonzero posting
 // intersection get an entry, everything else is an implicit 0 — and the
 // merge loop scans neighbor maps instead of n×n rows. Zero-DF terms
@@ -64,8 +60,8 @@ func (agglomerativeBuilder) Build(ctx context.Context, terms []string, docTerms 
 // so they are never given a cluster slot's worth of work: they start
 // inactive and fall out as roots, exactly as the dense reference leaves
 // them. The merge order reproduces the dense scan's tie-break (highest
-// similarity, then smallest slot pair) explicitly, so the two paths
-// render byte-identical forests.
+// similarity, then smallest slot pair) explicitly, so it renders the
+// same forests as the dense reference in the tests (aggBuildDense).
 func aggBuildSparse(ctx context.Context, st *termStats, minSim float64, cfg BuildConfig) (*Forest, error) {
 	uniq, df, alive := st.uniq, st.df, st.alive
 	n := len(alive)
@@ -193,98 +189,6 @@ func aggBuildSparse(ctx context.Context, st *termStats, minSim float64, cfg Buil
 		name[bestI] = winner
 		active[bestJ] = false
 		sims[bestJ] = nil
-	}
-	return assembleForest(st, parentOf), nil
-}
-
-// aggBuildDense is the pre-pruning all-pairs reference, kept verbatim
-// (plus the degenerate-postings guard) behind cfg.denseSweep so the
-// differential tests can prove the sparse path byte-identical.
-func aggBuildDense(ctx context.Context, st *termStats, minSim float64, cfg BuildConfig) (*Forest, error) {
-	uniq, sets, df, alive := st.uniq, st.sets, st.df, st.alive
-	n := len(alive)
-
-	// Pairwise Jaccard similarity over the alive terms. Row i is written
-	// only by the worker that owns it, so the O(n²) AndCount sweep shards
-	// like the subsumption sweep.
-	sim := make([]float64, n*n)
-	err := parallel.For(ctx, n, cfg.Workers, func(_, i int) {
-		a := alive[i]
-		for j := i + 1; j < n; j++ {
-			b := alive[j]
-			co := sets[a].AndCount(sets[b])
-			if co == 0 {
-				continue
-			}
-			union := df[a] + df[b] - co
-			sim[i*n+j] = float64(co) / float64(union)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			sim[j*n+i] = sim[i*n+j]
-		}
-	}
-
-	// Each cluster tracks its size (for the average-linkage update) and
-	// its name: the global index of the highest-DF member.
-	active := make([]bool, n)
-	size := make([]int, n)
-	name := make([]int, n)
-	for i := 0; i < n; i++ {
-		active[i] = true
-		size[i] = 1
-		name[i] = alive[i]
-	}
-
-	parentOf := make(map[int]int)
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// Closest active pair; ties resolve by the lexicographically
-		// smallest (name_i, name_j) pair, which is scan order here since
-		// clusters keep their creation slots and alive is sorted.
-		bestI, bestJ, bestSim := -1, -1, 0.0
-		for i := 0; i < n; i++ {
-			if !active[i] {
-				continue
-			}
-			for j := i + 1; j < n; j++ {
-				if !active[j] {
-					continue
-				}
-				if s := sim[i*n+j]; s > bestSim {
-					bestI, bestJ, bestSim = i, j, s
-				}
-			}
-		}
-		if bestI < 0 || bestSim < minSim {
-			break
-		}
-		// Name the merged cluster and record the hierarchy edge: the
-		// less general name attaches under the more general one.
-		winner, loser := name[bestI], name[bestJ]
-		if aggMoreGeneral(df, uniq, loser, winner) {
-			winner, loser = loser, winner
-		}
-		parentOf[loser] = winner
-		// Lance–Williams average-linkage update into slot bestI.
-		for k := 0; k < n; k++ {
-			if !active[k] || k == bestI || k == bestJ {
-				continue
-			}
-			merged := (float64(size[bestI])*sim[bestI*n+k] + float64(size[bestJ])*sim[bestJ*n+k]) /
-				float64(size[bestI]+size[bestJ])
-			sim[bestI*n+k] = merged
-			sim[k*n+bestI] = merged
-		}
-		size[bestI] += size[bestJ]
-		name[bestI] = winner
-		active[bestJ] = false
 	}
 	return assembleForest(st, parentOf), nil
 }

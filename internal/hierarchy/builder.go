@@ -63,13 +63,6 @@ type BuildConfig struct {
 	// instrumentation.
 	Metrics *obsv.Registry
 
-	// denseSweep forces the pre-pruning all-pairs sweep. It exists only
-	// so the differential tests (TestPrunedSweepEquivalence and the
-	// TestBuilderInvariants extension) can prove the posting-list-pruned
-	// sweeps byte-identical to the dense reference; it is unexported so
-	// external callers always get the pruned path.
-	denseSweep bool
-
 	// Evidence holds the evidence-combination builder's options.
 	Evidence EvidenceOptions
 	// Chains supplies is-a ancestor chains for the tree-minimization

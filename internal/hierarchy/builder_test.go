@@ -173,9 +173,7 @@ func TestBuilderInvariants(t *testing.T) {
 			// check, so a new strategy cannot ship a pruning shortcut
 			// that silently drops pairs. (TestPrunedSweepEquivalence
 			// repeats this on a larger skewed corpus.)
-			denseCfg := fixtureConfig(1)
-			denseCfg.denseSweep = true
-			denseForest, err := b.Build(context.Background(), terms, docTerms, denseCfg)
+			denseForest, err := denseBuild(context.Background(), name, terms, docTerms, fixtureConfig(1))
 			if err != nil {
 				t.Fatal(err)
 			}

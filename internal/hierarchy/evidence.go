@@ -42,6 +42,13 @@ func (evidenceBuilder) Name() string { return "evidence" }
 
 // Build implements Builder.
 func (evidenceBuilder) Build(ctx context.Context, terms []string, docTerms [][]string, cfg BuildConfig) (*Forest, error) {
+	return buildEvidence(ctx, terms, docTerms, cfg, false)
+}
+
+// buildEvidence is Build. forceDense makes the sweep visit every pair
+// even where the threshold lets it skip the pairs that never co-occur;
+// the differential tests set it to compare the two sweeps.
+func buildEvidence(ctx context.Context, terms []string, docTerms [][]string, cfg BuildConfig, forceDense bool) (*Forest, error) {
 	opts := cfg.Evidence
 	if opts.SubsumptionWeight == 0 {
 		opts.SubsumptionWeight = 1.0
@@ -85,9 +92,9 @@ func (evidenceBuilder) Build(ctx context.Context, terms []string, docTerms [][]s
 	// threshold exceeds that ceiling, zero-co pairs can neither reach
 	// the threshold nor displace a candidate that does, and the sweep
 	// can run over the pairIndex candidates alone. When the threshold
-	// sits at or below the ceiling (or the caller forces the dense
-	// reference), taxonomy evidence alone can attach terms that never
-	// co-occur and the sweep must stay dense for correctness.
+	// sits at or below the ceiling, taxonomy evidence alone can attach
+	// terms that never co-occur and the sweep must stay dense for
+	// correctness.
 	maxZeroCoScore := 0.0
 	for i := range opts.Sources {
 		if w := weight(i); w > 0 {
@@ -95,7 +102,7 @@ func (evidenceBuilder) Build(ctx context.Context, terms []string, docTerms [][]s
 		}
 	}
 	maxZeroCoScore /= totalWeight
-	pruned := !cfg.denseSweep && threshold > maxZeroCoScore
+	pruned := !forceDense && threshold > maxZeroCoScore
 
 	// As in the subsumption builder, every term's best parent is computed
 	// independently, so the pairwise evidence combination shards across

@@ -65,8 +65,8 @@ func sweepConfigs(workers int) BuildConfig {
 // TestPrunedSweepEquivalence is the differential wall for the tentpole:
 // every registered builder must render a byte-identical forest whether
 // the pairwise sweep runs pruned (the default, candidate pairs from the
-// pairIndex) or dense (the pre-pruning all-pairs reference kept behind
-// the unexported denseSweep flag), at 1 and 8 workers, on both the small
+// pairIndex) or dense (the pre-pruning all-pairs reference in
+// reference_test.go), at 1 and 8 workers, on both the small
 // fixture and a larger skewed corpus. CI runs this under -race.
 func TestPrunedSweepEquivalence(t *testing.T) {
 	type corpus struct {
@@ -93,9 +93,7 @@ func TestPrunedSweepEquivalence(t *testing.T) {
 					}
 					checkForestInvariants(t, pruned)
 
-					dcfg := sweepConfigs(workers)
-					dcfg.denseSweep = true
-					dense, err := b.Build(context.Background(), c.terms, c.docTerms, dcfg)
+					dense, err := denseBuild(context.Background(), name, c.terms, c.docTerms, sweepConfigs(workers))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -174,9 +172,7 @@ func TestAgglomerativeDegeneratePostings(t *testing.T) {
 		t.Errorf("co-occurring pair did not cluster: b's parent = %v", node)
 	}
 
-	dcfg := cfg
-	dcfg.denseSweep = true
-	dense, err := b.Build(context.Background(), terms, docTerms, dcfg)
+	dense, err := denseBuild(context.Background(), "agglomerative", terms, docTerms, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

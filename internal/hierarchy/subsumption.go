@@ -88,7 +88,7 @@ func (subsumptionBuilder) Build(ctx context.Context, terms []string, docTerms []
 		cfg.MaxChildDFFraction = 0.6
 	}
 	st := newTermStats(terms, docTerms, cfg.MinDF)
-	uniq, sets, df, alive, nDocs := st.uniq, st.sets, st.df, st.alive, st.nDocs
+	uniq, df, alive, nDocs := st.uniq, st.df, st.alive, st.nDocs
 
 	// Parent selection. A subsumer must be strictly more general
 	// (df(x) > df(y)): with P(x|y)·df(y) = P(y|x)·df(x), this is exactly
@@ -99,22 +99,17 @@ func (subsumptionBuilder) Build(ctx context.Context, terms []string, docTerms []
 	// Each term's parent is selected independently from the frozen
 	// bitsets, so the sweep shards across workers; every worker writes
 	// only its own terms' slots, and the slot array is folded into
-	// parentOf in deterministic order afterwards. The default sweep is
-	// pruned: P(x|y) ≥ θ > 0 needs co-occurrence, so only the candidate
-	// partners the pairIndex yields can subsume y and everything else is
-	// provably skippable. The dense all-pairs reference survives behind
-	// cfg.denseSweep for the differential tests.
+	// parentOf in deterministic order afterwards. The sweep is pruned:
+	// P(x|y) ≥ θ > 0 needs co-occurrence, so only the candidate partners
+	// the pairIndex yields can subsume y and everything else is provably
+	// skippable. The dense all-pairs reference lives in the tests
+	// (subsumptionDense), which prove the two byte-identical.
 	parents := make([]int, len(alive))
 	maxChildDF := int(cfg.MaxChildDFFraction * float64(nDocs))
-	var ix *pairIndex
-	var scratches []*pairScratch
-	var counts []pairCounts
-	if !cfg.denseSweep {
-		ix = newPairIndex(st)
-		nw := sweepWorkers(cfg.Workers)
-		scratches = make([]*pairScratch, nw)
-		counts = make([]pairCounts, nw)
-	}
+	ix := newPairIndex(st)
+	nw := sweepWorkers(cfg.Workers)
+	scratches := make([]*pairScratch, nw)
+	counts := make([]pairCounts, nw)
 	err := parallel.For(ctx, len(alive), cfg.Workers, func(w, yi int) {
 		parents[yi] = -1
 		y := alive[yi]
@@ -122,20 +117,28 @@ func (subsumptionBuilder) Build(ctx context.Context, terms []string, docTerms []
 		// dense row — count it so candidate+skipped always reconstructs
 		// the all-pairs iteration space.
 		if df[y] == 0 { // degenerate posting list: nothing co-occurs with y
-			if !cfg.denseSweep {
-				counts[w].skipped += int64(len(alive) - 1)
-			}
+			counts[w].skipped += int64(len(alive) - 1)
 			return
 		}
 		if nDocs > 0 && df[y] > maxChildDF { // saturated term: keep as a facet-dimension root
-			if !cfg.denseSweep {
-				counts[w].skipped += int64(len(alive) - 1)
-			}
+			counts[w].skipped += int64(len(alive) - 1)
 			return
+		}
+		sc := scratches[w]
+		if sc == nil {
+			sc = ix.newScratch()
+			scratches[w] = sc
 		}
 		var best parentCand
 		have := false
-		consider := func(x, co int) {
+		yielded := int64(0)
+		ix.forCandidates(yi, sc, thresholdMinCo(cfg.Threshold, df[y]), func(xi, co int) {
+			yielded++
+			x := alive[xi]
+			if df[x] <= df[y] {
+				return
+			}
+			counts[w].evaluated++
 			pxy := float64(co) / float64(df[y])
 			pyx := float64(co) / float64(df[x])
 			if pxy < cfg.Threshold || pyx >= 1 {
@@ -145,33 +148,9 @@ func (subsumptionBuilder) Build(ctx context.Context, terms []string, docTerms []
 			if !have || moreSpecific(&cand, &best) {
 				best, have = cand, true
 			}
-		}
-		if cfg.denseSweep {
-			for _, x := range alive {
-				if x == y || df[x] <= df[y] {
-					continue
-				}
-				consider(x, sets[x].AndCount(sets[y]))
-			}
-		} else {
-			sc := scratches[w]
-			if sc == nil {
-				sc = ix.newScratch()
-				scratches[w] = sc
-			}
-			yielded := int64(0)
-			ix.forCandidates(yi, sc, thresholdMinCo(cfg.Threshold, df[y]), func(xi, co int) {
-				yielded++
-				x := alive[xi]
-				if df[x] <= df[y] {
-					return
-				}
-				counts[w].evaluated++
-				consider(x, co)
-			})
-			counts[w].candidate += yielded
-			counts[w].skipped += int64(len(alive)-1) - yielded
-		}
+		})
+		counts[w].candidate += yielded
+		counts[w].skipped += int64(len(alive)-1) - yielded
 		if have {
 			parents[yi] = best.idx
 		}
@@ -179,9 +158,7 @@ func (subsumptionBuilder) Build(ctx context.Context, terms []string, docTerms []
 	if err != nil {
 		return nil, err
 	}
-	if !cfg.denseSweep {
-		publishPairCounts(cfg.Metrics, counts, len(alive))
-	}
+	publishPairCounts(cfg.Metrics, counts, len(alive))
 	parentOf := make(map[int]int)
 	for yi, y := range alive {
 		if parents[yi] >= 0 {

@@ -28,7 +28,7 @@ func (f ChainFunc) Chain(term string) []string { return f(term) }
 // technique addresses. docTerms and the co-occurrence knobs are ignored,
 // so there is no pairwise co-occurrence sweep to prune: the
 // candidate-pair generator (pairIndex) and the hierarchy.pairs.* counters
-// do not apply here, and cfg.denseSweep is a no-op. Cost is
+// do not apply here, and the build is its own dense reference. Cost is
 // O(Σ chain length), not O(terms²).
 type treeminBuilder struct{}
 

@@ -33,7 +33,7 @@ func TestFallbackAdmitsUnderTotalOutage(t *testing.T) {
 	res.down.Store(true)
 	docs := testDocs(5)
 	for _, d := range docs[3:5] {
-		if err := ing.SubmitWait(context.Background(), d); err != nil {
+		if err := ing.SubmitContext(context.Background(), d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -70,7 +70,7 @@ func TestFallbackStaysOutOfPartialOutage(t *testing.T) {
 
 	res.down.Store(true)
 	docs := testDocs(4)
-	if err := ing.SubmitWait(context.Background(), docs[3]); err != nil {
+	if err := ing.SubmitContext(context.Background(), docs[3]); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "dead letter", func() bool { return ing.Stats().DeadLetters == 1 })

@@ -88,7 +88,8 @@ type Config struct {
 	// Workers sizes the intake pool (0 = GOMAXPROCS).
 	Workers int
 	// QueueSize bounds the intake queue (0 = 1024). A full queue pushes
-	// back on producers: Submit fails fast, SubmitWait blocks.
+	// back on producers: Submit fails fast, SubmitContext blocks until
+	// space frees up or its ctx is done.
 	QueueSize int
 
 	// EpochDocs triggers a rebuild epoch once this many documents have
@@ -573,11 +574,6 @@ func (ing *Ingester) SubmitContext(ctx context.Context, doc *textdb.Document) er
 		ing.queueRejections.Add(1)
 		return ctx.Err()
 	}
-}
-
-// SubmitWait is a backward-compatible alias for SubmitContext.
-func (ing *Ingester) SubmitWait(ctx context.Context, doc *textdb.Document) error {
-	return ing.SubmitContext(ctx, doc)
 }
 
 // Current returns the most recently published browsing interface. The

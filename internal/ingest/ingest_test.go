@@ -134,7 +134,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 	}
 	ing.Start()
 	for _, d := range docs[10:] {
-		if err := ing.SubmitWait(context.Background(), d); err != nil {
+		if err := ing.SubmitContext(context.Background(), d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -301,7 +301,7 @@ func TestEpochTriggerAndCache(t *testing.T) {
 	}
 	ing.Start()
 	for _, d := range testDocs(20) {
-		if err := ing.SubmitWait(context.Background(), d); err != nil {
+		if err := ing.SubmitContext(context.Background(), d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -341,7 +341,7 @@ func TestMaxStalenessTrigger(t *testing.T) {
 	}
 	ing.Start()
 	for _, d := range testDocs(3) {
-		if err := ing.SubmitWait(context.Background(), d); err != nil {
+		if err := ing.SubmitContext(context.Background(), d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -370,7 +370,7 @@ func TestWarmStart(t *testing.T) {
 	}
 	ing.Start()
 	for _, d := range docs[5:] {
-		if err := ing.SubmitWait(context.Background(), d); err != nil {
+		if err := ing.SubmitContext(context.Background(), d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -427,7 +427,7 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	ing.Start()
 	for _, d := range testDocs(9) {
-		if err := ing.SubmitWait(context.Background(), d); err != nil {
+		if err := ing.SubmitContext(context.Background(), d); err != nil {
 			t.Fatal(err)
 		}
 	}
