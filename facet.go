@@ -266,7 +266,13 @@ func (s *System) Add(d Document) int {
 func (s *System) Len() int { return s.corpus.Len() }
 
 // buildExtractors assembles the selected extractors (defaults to all).
-func (s *System) buildExtractors() []core.Extractor {
+// The Yahoo-style extractor calibrates its background table against
+// every document's term row; ctx is checked on entry and between those
+// documents, and its error returned once it is done.
+func (s *System) buildExtractors(ctx context.Context) ([]core.Extractor, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	names := s.opts.Extractors
 	if len(names) == 0 {
 		names = []string{"NE", "Yahoo", "Wikipedia"}
@@ -278,6 +284,9 @@ func (s *System) buildExtractors() []core.Extractor {
 	}
 	bg := textdb.NewDFTable(s.corpus.Dict())
 	for i := 0; i < s.corpus.Len(); i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		bg.AddDoc(s.corpus.DocTerms(textdb.DocID(i)))
 	}
 	var out []core.Extractor
@@ -294,7 +303,7 @@ func (s *System) buildExtractors() []core.Extractor {
 	for _, e := range s.opts.ExtraExtractors {
 		out = append(out, e)
 	}
-	return out
+	return out, nil
 }
 
 // buildResources assembles the selected resources (defaults to all).
@@ -350,7 +359,10 @@ func (s *System) distributional(ctx context.Context, extractors []core.Extractor
 		return s.dist, nil
 	}
 	if extractors == nil {
-		extractors = s.buildExtractors()
+		var err error
+		if extractors, err = s.buildExtractors(ctx); err != nil {
+			return nil, err
+		}
 	}
 	// Extractor degradations are reported when the pipeline proper runs
 	// Step 1 again.
@@ -378,7 +390,11 @@ func (s *System) distributional(ctx context.Context, extractors []core.Extractor
 // for in-module consumers — the live ingestion subsystem builds its
 // worker pool from it; external users configure extraction through
 // Options.
-func (s *System) CoreExtractors() []core.Extractor { return s.buildExtractors() }
+func (s *System) CoreExtractors() []core.Extractor {
+	// The background context never ends, so the build cannot fail.
+	extractors, _ := s.buildExtractors(context.Background())
+	return extractors
+}
 
 // CoreResources assembles the configured context-expansion resources; see
 // CoreExtractors for the intended consumers.
@@ -467,11 +483,13 @@ func (s *System) ExtractFacetsContext(ctx context.Context) (*Result, error) {
 	if s.corpus.Len() == 0 {
 		return nil, fmt.Errorf("facet: no documents added")
 	}
-	extractors := s.buildExtractors()
+	extractors, err := s.buildExtractors(ctx)
+	if err != nil {
+		return nil, err
+	}
 	// One corpus-only model serves as both resource and fallback.
 	var dist core.Resource
 	if s.selectsDistributional() || s.opts.CorpusFallback {
-		var err error
 		if dist, err = s.distributional(ctx, extractors); err != nil {
 			return nil, err
 		}
@@ -580,7 +598,8 @@ func (r *Result) assignDocTerms(ctx context.Context, terms []string) ([][]string
 	if err != nil {
 		return nil, err
 	}
-	return core.AssignDocTerms(r.sys.corpus, r.inner.Important, votes, terms), nil
+	corpus := r.sys.corpus
+	return core.AssignDocTerms(corpus, core.CorroboratedRows(corpus.Dict(), r.inner.Important, votes), terms), nil
 }
 
 // Roots returns the top-level facets.

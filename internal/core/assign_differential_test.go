@@ -92,10 +92,11 @@ func TestAssignDocTermsMatchesReference(t *testing.T) {
 		if got := refAssignDocTerms(corpus, important, votes, fs); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%d facet terms: the reference depends on the corpus copy", len(fs))
 		}
-		if got := AssignDocTerms(corpus, important, votes, fs); !reflect.DeepEqual(got, want) {
+		if got := AssignDocTerms(corpus, CorroboratedRows(corpus.Dict(), important, votes), fs); !reflect.DeepEqual(got, want) {
 			t.Fatalf("pipeline corpus, %d facet terms: assignment differs from the reference", len(fs))
 		}
-		if got := AssignDocTerms(fresh(), important, votes, fs); !reflect.DeepEqual(got, want) {
+		f := fresh()
+		if got := AssignDocTerms(f, CorroboratedRows(f.Dict(), important, votes), fs); !reflect.DeepEqual(got, want) {
 			t.Fatalf("fresh corpus, %d facet terms: assignment differs from the reference", len(fs))
 		}
 	}

@@ -399,7 +399,7 @@ func (e *LookupError) Unwrap() error { return e.Err }
 // cache's LookupErr). It returns the context terms in first-seen order —
 // the document's row of C(D) — and votes, which counts for each of them
 // how many important terms brought it in through any resource; document
-// assignment (AssignDocTerms) reads the votes.
+// assignment reads the votes (CorroboratedTerms).
 //
 // fallback, when non-nil, is asked about a term only when every resource
 // failed for it. Its context counts like a resource's, and rescued
@@ -651,7 +651,7 @@ func ExpandDocTermsAppend(dst []textdb.TermID, dict *textdb.Dictionary, orig []t
 // through any resource. The pipeline's Step 3 uses the flat union
 // (DeriveContextFallbackReport); document-to-facet ASSIGNMENT for
 // hierarchy population and browsing uses these vote counts (see
-// AssignDocTerms): a facet term describes a document only when several
+// CorroboratedTerms): a facet term describes a document only when several
 // of the document's own important terms independently pull it in, which
 // keeps one stray entity mention from tagging the story with a whole
 // unrelated dimension. Lookups go through cache (nil allocates a private
@@ -673,16 +673,57 @@ func ContextVotesContext(ctx context.Context, important [][]string, resources []
 	return votes, nil
 }
 
+// CorroboratedTerms is the vote rule of document assignment for one
+// document: the IDs, ascending, of the context terms its Step-2 votes
+// (ContextTerms) corroborate — those at least two of its important terms
+// voted for, or at least one when it has fewer than two important terms.
+// The IDs are dict's: Step 3's expansion (ExpandDocTermsAppend) interns
+// every context term, so a term is normally looked up; one dict lacks is
+// interned, in text order. It returns nil when no term is corroborated.
+func CorroboratedTerms(dict *textdb.Dictionary, important []string, votes map[string]int) []textdb.TermID {
+	need := 2
+	if len(important) < 2 {
+		need = 1
+	}
+	var row []textdb.TermID
+	var missing []string
+	for c, v := range votes {
+		if v < need {
+			continue
+		}
+		if id := dict.Lookup(c); id != textdb.NoTerm {
+			row = append(row, id)
+		} else {
+			missing = append(missing, c)
+		}
+	}
+	slices.Sort(missing) // IDs must not follow the map's iteration order
+	for _, c := range missing {
+		row = append(row, dict.Intern(c))
+	}
+	slices.Sort(row)
+	return row
+}
+
+// CorroboratedRows is CorroboratedTerms for every document: important
+// holds the documents' Step-1 rows and votes their ContextVotes.
+func CorroboratedRows(dict *textdb.Dictionary, important [][]string, votes []map[string]int) [][]textdb.TermID {
+	rows := make([][]textdb.TermID, len(votes))
+	for d := range rows {
+		rows[d] = CorroboratedTerms(dict, important[d], votes[d])
+	}
+	return rows
+}
+
 // AssignDocTerms is the document-to-facet assignment that hierarchy
 // construction and browsing share: per document, the facet terms (those
-// in terms) occurring in its text, plus the context terms that at least
-// two of its important terms vote for (one when the document has fewer
-// than two important terms), sorted and deduplicated. votes is
-// ContextVotes' output over the same important rows.
+// in terms) occurring in its text or among its corroborated context
+// terms, sorted and deduplicated. corroborated[d] is document d's
+// CorroboratedTerms row, in the corpus dictionary.
 //
-// Text occurrence is tested by term ID and votes are read only for the
-// facet terms, so a document costs O(its terms + len(terms)).
-func AssignDocTerms(corpus *textdb.Corpus, important [][]string, votes []map[string]int, terms []string) [][]string {
+// Both rows are read by term ID through one slot table over the facet
+// terms, so a document costs O(its terms + its corroborated terms).
+func AssignDocTerms(corpus *textdb.Corpus, corroborated [][]textdb.TermID, terms []string) [][]string {
 	// Build every document's term row first: it interns the document's
 	// terms, and a facet term not yet interned would have no ID to match.
 	for d := 0; d < corpus.Len(); d++ {
@@ -704,23 +745,25 @@ func AssignDocTerms(corpus *textdb.Corpus, important [][]string, votes []map[str
 			slot[id] = int32(i) + 1
 		}
 	}
-	present := make([]bool, len(facets))
+	var hits []int32 // slots of the document's facet terms, facets order once sorted
 	docTerms := make([][]string, corpus.Len())
 	for d := range docTerms {
-		clear(present)
-		for _, id := range corpus.DocTerms(textdb.DocID(d)) {
-			if int(id) < len(slot) && slot[id] > 0 {
-				present[slot[id]-1] = true
+		hits = hits[:0]
+		for _, row := range [2][]textdb.TermID{corpus.DocTerms(textdb.DocID(d)), corroborated[d]} {
+			for _, id := range row {
+				if int(id) < len(slot) && slot[id] > 0 {
+					hits = append(hits, slot[id]-1)
+				}
 			}
 		}
-		need := 2
-		if len(important[d]) < 2 {
-			need = 1
+		if len(hits) == 0 {
+			continue
 		}
-		for i, t := range facets {
-			if present[i] || votes[d][t] >= need {
-				docTerms[d] = append(docTerms[d], t)
-			}
+		slices.Sort(hits)
+		hits = slices.Compact(hits)
+		docTerms[d] = make([]string, len(hits))
+		for i, h := range hits {
+			docTerms[d][i] = facets[h]
 		}
 	}
 	return docTerms

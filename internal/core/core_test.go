@@ -418,7 +418,7 @@ func TestAssignDocTerms(t *testing.T) {
 		{"baseball": 1, "sports": 2, "city": 1},
 	}
 	terms := []string{"baseball", "sports", "city", "election", "zebra"}
-	got := AssignDocTerms(corpus, important, votes, terms)
+	got := AssignDocTerms(corpus, CorroboratedRows(corpus.Dict(), important, votes), terms)
 	want := [][]string{
 		{"baseball", "sports"},
 		{"city", "election"},

@@ -131,7 +131,8 @@ func Efficiency(dr *DataRun, sampleDocs int) (*EfficiencyReport, error) {
 	// Hierarchy construction over the selected terms, with documents
 	// assigned to them as everywhere else (core.AssignDocTerms).
 	terms := result.FacetTermStrings()
-	docTerms := core.AssignDocTerms(sub, important, core.ContextVotes(important, resources, dr.Lab.cache), terms)
+	votes := core.ContextVotes(important, resources, dr.Lab.cache)
+	docTerms := core.AssignDocTerms(sub, core.CorroboratedRows(sub.Dict(), important, votes), terms)
 	b, _ := hierarchy.Lookup("subsumption") // registered by package hierarchy itself
 	start = time.Now()
 	if _, err := b.Build(ctx, terms, docTerms, hierarchy.BuildConfig{}); err != nil {

@@ -42,7 +42,8 @@ func BuildForest(dr *DataRun, result *core.Result, topK int) (*hierarchy.Forest,
 // fields of the run that produced it.
 func ExpandedDocTerms(dr *DataRun, result *core.Result, terms []string) [][]string {
 	votes := core.ContextVotes(result.Important, result.Resources, labCache(dr))
-	return core.AssignDocTerms(dr.DS.Corpus, result.Important, votes, terms)
+	corpus := dr.DS.Corpus
+	return core.AssignDocTerms(corpus, core.CorroboratedRows(corpus.Dict(), result.Important, votes), terms)
 }
 
 // PrecisionTable reproduces one of Tables V/VI/VII: for every cell, the

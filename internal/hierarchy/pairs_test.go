@@ -62,21 +62,66 @@ func sweepConfigs(workers int) BuildConfig {
 	return cfg
 }
 
+// ceilingConfig is sweepConfigs with the evidence threshold at the
+// taxonomy ceiling (maxZeroCoScore 0.5 with one unit-weight source) and
+// a source that also endorses news → election, a pair that never
+// co-occurs in the fixture. Taxonomy evidence alone attaches election,
+// so the evidence sweep must stay dense.
+func ceilingConfig(workers int) BuildConfig {
+	cfg := sweepConfigs(workers)
+	cfg.Evidence.Threshold = 0.5
+	cfg.Evidence.Sources = []TaxonomicEvidence{EvidenceFunc{
+		EvidenceName: "ceiling",
+		Fn: func(parent, child string) float64 {
+			if (parent == "france" && child == "paris") || (parent == "news" && child == "election") {
+				return 1
+			}
+			return 0
+		},
+	}}
+	return cfg
+}
+
+// coOnceCorpus is a collection whose agglomerative forest rests on a pair
+// that co-occurs once: apple and pear share one of their three documents
+// (Jaccard 1/3, above the default 0.25 merge floor).
+func coOnceCorpus() (terms []string, docTerms [][]string) {
+	return []string{"apple", "pear", "plum"}, [][]string{
+		{"apple", "pear"},
+		{"apple"},
+		{"pear"},
+		{"plum"},
+		{"plum"},
+	}
+}
+
 // TestPrunedSweepEquivalence is the differential wall for the tentpole:
 // every registered builder must render a byte-identical forest whether
 // the pairwise sweep runs pruned (the default, candidate pairs from the
 // pairIndex) or dense (the pre-pruning all-pairs reference in
-// reference_test.go), at 1 and 8 workers, on both the small
-// fixture and a larger skewed corpus. CI runs this under -race.
+// reference_test.go), at 1 and 8 workers, on the small fixture, a larger
+// skewed corpus, the fixture with the evidence threshold at the taxonomy
+// ceiling, and a corpus whose clustering rests on a pair that co-occurs
+// once. Each of the last two names the edge it exists for. CI runs this
+// under -race.
 func TestPrunedSweepEquivalence(t *testing.T) {
 	type corpus struct {
 		label    string
 		terms    []string
 		docTerms [][]string
+		config   func(workers int) BuildConfig
+		// edge is builder, child, parent: an edge the input must produce.
+		edge [3]string
 	}
 	ft, fd := builderFixture()
 	st, sd := sweepCorpus()
-	corpora := []corpus{{"fixture", ft, fd}, {"skewed", st, sd}}
+	ct, cd := coOnceCorpus()
+	corpora := []corpus{
+		{label: "fixture", terms: ft, docTerms: fd, config: sweepConfigs},
+		{label: "skewed", terms: st, docTerms: sd, config: sweepConfigs},
+		{label: "evidence-at-ceiling", terms: ft, docTerms: fd, config: ceilingConfig, edge: [3]string{"evidence", "election", "news"}},
+		{label: "co-once", terms: ct, docTerms: cd, config: sweepConfigs, edge: [3]string{"agglomerative", "pear", "apple"}},
+	}
 
 	for _, name := range Names() {
 		b, ok := Lookup(name)
@@ -86,14 +131,18 @@ func TestPrunedSweepEquivalence(t *testing.T) {
 		for _, c := range corpora {
 			for _, workers := range []int{1, 8} {
 				t.Run(fmt.Sprintf("%s/%s/workers=%d", name, c.label, workers), func(t *testing.T) {
-					cfg := sweepConfigs(workers)
-					pruned, err := b.Build(context.Background(), c.terms, c.docTerms, cfg)
+					pruned, err := b.Build(context.Background(), c.terms, c.docTerms, c.config(workers))
 					if err != nil {
 						t.Fatal(err)
 					}
 					checkForestInvariants(t, pruned)
+					if c.edge[0] == name {
+						if node, ok := pruned.Find(c.edge[1]); !ok || node.Parent == nil || node.Parent.Term != c.edge[2] {
+							t.Errorf("%s is not under %s:\n%s", c.edge[1], c.edge[2], FormatTree(pruned))
+						}
+					}
 
-					dense, err := denseBuild(context.Background(), name, c.terms, c.docTerms, sweepConfigs(workers))
+					dense, err := denseBuild(context.Background(), name, c.terms, c.docTerms, c.config(workers))
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -3,6 +3,8 @@ package ingest
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/browse"
@@ -12,73 +14,65 @@ import (
 )
 
 // runEpoch executes one incremental rebuild: snapshot the pipeline state
-// under lock, persist the epoch's intake, re-run Step 3 candidate
-// selection over the incrementally maintained DF tables, rebuild the
-// subsumption hierarchy, assemble a fresh browsing interface over the
-// immutable corpus snapshot, and publish it with one atomic swap. Only
-// the snapshot step holds the intake lock; extraction and intake continue
-// while the rebuild runs. runEpoch is never called concurrently (it runs
-// on the scheduler goroutine, or before Start / after scheduler shutdown).
-func (ing *Ingester) runEpoch() error {
+// under lock, start persisting the epoch's intake, re-run Step 3
+// candidate selection over the incrementally maintained DF tables,
+// assign documents, rebuild the hierarchy and a fresh browsing interface
+// over the immutable corpus snapshot, and publish it with one atomic
+// swap. Only the snapshot step holds the intake lock; extraction and
+// intake continue while the rebuild runs, and the segment append runs
+// beside it. ctx is checked between stages and passed to the hierarchy
+// builder. A canceled or failed epoch publishes nothing; it still waits
+// for its append, so no accepted document is lost, and its documents
+// stay due for the next epoch. runEpoch is never called concurrently (it
+// runs on the scheduler goroutine, or before Start / after scheduler
+// shutdown).
+func (ing *Ingester) runEpoch(ctx context.Context) error {
 	start := time.Now()
 
 	ing.mu.Lock()
 	n := ing.corpus.Len()
 	snap := ing.corpus.Snapshot()
-	important := append([][]string(nil), ing.important...)
-	votes := append([]map[string]int(nil), ing.votes...)
+	// Rows are only ever appended, so the epoch can keep reading these.
+	corroborated := slices.Clip(ing.corroborated)
 	dfD := ing.dfD.Clone()
 	dfC := ing.dfC.Clone()
-	ctxTerms := make(map[textdb.TermID]bool, len(ing.ctxTerms))
-	for id := range ing.ctxTerms {
-		ctxTerms[id] = true
-	}
+	ctxTerms := maps.Clone(ing.ctxTerms)
 	newDocs := ing.pending
 	ing.pending = nil
 	epochDocs := ing.unpublished
 	ing.unpublished = 0
+	select {
+	case <-ing.kick: // this epoch takes the documents it was sent for
+	default:
+	}
 	ing.mu.Unlock()
 
-	// Durability first: a crash during the rebuild must not lose accepted
-	// intake. Each epoch's documents form one segment; Store.Append is
-	// crash-safe (segment fsync + atomic manifest rename).
+	// Durability: each epoch's documents form one segment, and
+	// Store.Append is crash-safe (segment fsync + atomic manifest
+	// rename). The epoch is published only after its append succeeded,
+	// so every served document is on disk.
+	appended := make(chan error, 1)
 	if ing.cfg.Store != nil && len(newDocs) > 0 {
-		if err := ing.cfg.Store.Append(newDocs); err != nil {
-			ing.mu.Lock()
-			ing.pending = append(append([]*textdb.Document(nil), newDocs...), ing.pending...)
-			ing.unpublished += epochDocs
-			ing.mu.Unlock()
-			return err
-		}
+		go func() { appended <- ing.cfg.Store.Append(newDocs) }()
+	} else {
+		appended <- nil
+	}
+	iface, terms, err := ing.rebuild(ctx, snap, corroborated, dfD, dfC, ctxTerms)
+	if aerr := <-appended; aerr != nil {
+		ing.mu.Lock()
+		ing.pending = append(append([]*textdb.Document(nil), newDocs...), ing.pending...)
+		ing.unpublished += epochDocs
+		ing.mu.Unlock()
+		return aerr
+	}
+	if ing.cfg.Store != nil && len(newDocs) > 0 {
 		ing.persistedDocs.Add(int64(len(newDocs)))
 		ing.persistedSegments.Add(1)
 	}
-
-	// Step 3 over the delta-merged statistics, then hierarchy + browse.
-	// Candidate scoring and the pairwise subsumption sweep shard across
-	// the same worker pool that sizes intake (results are identical for
-	// any worker count, so live and batch builds still agree).
-	res := core.AnalyzeTables(snap.Dict(), dfD, dfC, ctxTerms, n, ing.cfg.TopK, core.AnalyzeOptions{Workers: ing.cfg.Workers})
-	terms := res.FacetTermStrings()
-	docTerms := core.AssignDocTerms(snap, important, votes, terms)
-	builderName := ing.cfg.HierarchyBuilder
-	if builderName == "" {
-		builderName = "subsumption"
-	}
-	builder, ok := hierarchy.Lookup(builderName)
-	if !ok {
-		return fmt.Errorf("ingest: unknown hierarchy builder %q", builderName)
-	}
-	forest, err := builder.Build(context.Background(), terms, docTerms, hierarchy.BuildConfig{
-		Threshold: ing.cfg.SubsumptionThreshold,
-		Workers:   ing.cfg.Workers,
-		Metrics:   ing.cfg.Metrics, // hierarchy.pairs.* pruning counters per epoch; nil disables
-	})
 	if err != nil {
-		return err
-	}
-	iface, err := browse.Build(snap, forest, docTerms)
-	if err != nil {
+		ing.mu.Lock()
+		ing.unpublished += epochDocs
+		ing.mu.Unlock()
 		return err
 	}
 
@@ -108,25 +102,49 @@ func (ing *Ingester) runEpoch() error {
 	return nil
 }
 
-// persistPending durably appends any unpersisted documents without
-// rebuilding; Close falls back to it when its context has expired.
-func (ing *Ingester) persistPending() error {
-	ing.mu.Lock()
-	newDocs := ing.pending
-	ing.pending = nil
-	ing.mu.Unlock()
-	if ing.cfg.Store == nil || len(newDocs) == 0 {
-		return nil
+// rebuild runs an epoch's stages over its snapshot: Step 3 over the
+// delta-merged statistics, document assignment, the hierarchy and the
+// browsing interface. Candidate scoring and the hierarchy sweep shard
+// across the same worker pool that sizes intake (results are identical
+// for any worker count, so live and batch builds still agree). It
+// returns ctx's error, and no interface, once ctx is done.
+func (ing *Ingester) rebuild(ctx context.Context, snap *textdb.Corpus, corroborated [][]textdb.TermID, dfD, dfC *textdb.DFTable, ctxTerms map[textdb.TermID]bool) (*browse.Interface, []string, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
 	}
-	if err := ing.cfg.Store.Append(newDocs); err != nil {
-		ing.mu.Lock()
-		ing.pending = append(append([]*textdb.Document(nil), newDocs...), ing.pending...)
-		ing.mu.Unlock()
-		return err
+	res := core.AnalyzeTables(snap.Dict(), dfD, dfC, ctxTerms, snap.Len(), ing.cfg.TopK, core.AnalyzeOptions{Workers: ing.cfg.Workers})
+	terms := res.FacetTermStrings()
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
 	}
-	ing.persistedDocs.Add(int64(len(newDocs)))
-	ing.persistedSegments.Add(1)
-	return nil
+	docTerms := core.AssignDocTerms(snap, corroborated, terms)
+	builderName := ing.cfg.HierarchyBuilder
+	if builderName == "" {
+		builderName = "subsumption"
+	}
+	builder, ok := hierarchy.Lookup(builderName)
+	if !ok {
+		return nil, nil, fmt.Errorf("ingest: unknown hierarchy builder %q", builderName)
+	}
+	forest, err := builder.Build(ctx, terms, docTerms, hierarchy.BuildConfig{
+		Threshold: ing.cfg.SubsumptionThreshold,
+		Workers:   ing.cfg.Workers,
+		Metrics:   ing.cfg.Metrics, // hierarchy.pairs.* pruning counters per epoch; nil disables
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	iface, err := browse.Build(snap, forest, docTerms)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	return iface, terms, nil
 }
 
 // Stats is a point-in-time snapshot of the subsystem's health, exposed

@@ -21,12 +21,17 @@
 //     core.AnalyzeTables) over the incremental tables, rebuilds the
 //     subsumption hierarchy, and assembles a fresh browse.Interface over
 //     an immutable corpus snapshot. The heavy work runs off-lock; intake
-//     continues during a rebuild.
+//     continues during a rebuild. What the last epoch built is reused:
+//     each document's corroborated context terms are kept as term IDs
+//     from admission, and the corpus extends its keyword index with the
+//     new documents only.
 //  3. Publication: the rebuilt interface is swapped atomically
 //     (atomic.Pointer); readers always see a complete, internally
-//     consistent epoch — never a torn mix of old and new state. Accepted
-//     documents are durably persisted through textdb.Store.Append at
-//     every epoch, so a restarted server warm-starts from disk.
+//     consistent epoch — never a torn mix of old and new state. Each
+//     epoch's documents are durably persisted through textdb.Store.Append
+//     while it rebuilds, and the epoch is published only once they are,
+//     so a restarted server warm-starts from disk with every document it
+//     served.
 package ingest
 
 import (
@@ -154,15 +159,16 @@ type Ingester struct {
 	// mu guards the incremental pipeline state: the growing corpus, the
 	// per-document extraction results, and the DF delta tables. Workers
 	// do extraction and expansion lock-free and only merge under mu.
-	mu          sync.Mutex
-	corpus      *textdb.Corpus
-	important   [][]string       // important[d]: Fig. 1 output for doc d
-	votes       []map[string]int // votes[d]: context-term corroboration counts
-	dfD         *textdb.DFTable  // document frequencies over D
-	dfC         *textdb.DFTable  // document frequencies over C(D)
-	ctxTerms    map[textdb.TermID]bool
-	pending     []*textdb.Document // accepted but not yet persisted
-	unpublished int                // accepted but not yet in the served interface
+	mu     sync.Mutex
+	corpus *textdb.Corpus
+	// corroborated[d]: doc d's corroborated context terms, the vote rule
+	// of document assignment applied at admission (core.CorroboratedTerms)
+	corroborated [][]textdb.TermID
+	dfD          *textdb.DFTable // document frequencies over D
+	dfC          *textdb.DFTable // document frequencies over C(D)
+	ctxTerms     map[textdb.TermID]bool
+	pending      []*textdb.Document // accepted but not yet persisted
+	unpublished  int                // accepted but not yet in the served interface
 	// Reusable expansion state for admit (guarded by mu like the tables
 	// it feeds): documents arrive one at a time under the lock, so one
 	// scratch map and one row buffer serve every admission allocation-free
@@ -179,6 +185,10 @@ type Ingester struct {
 	stop     chan struct{}
 	wg       sync.WaitGroup // intake workers
 	schedWG  sync.WaitGroup // epoch scheduler
+	// schedCtx is the scheduler's epochs' context; Close cancels it once
+	// its own ctx is done, interrupting an in-flight rebuild.
+	schedCtx    context.Context
+	cancelSched context.CancelFunc
 
 	// Monotonic counters, readable without mu.
 	docsIngested      atomic.Int64
@@ -228,6 +238,7 @@ func New(cfg Config) (*Ingester, error) {
 		cfg.DeadLetterSize = 256
 	}
 	corpus := textdb.NewCorpus()
+	schedCtx, cancelSched := context.WithCancel(context.Background())
 	ing := &Ingester{
 		cfg:           cfg,
 		cache:         newLRUCache(cfg.CacheSize),
@@ -239,6 +250,8 @@ func New(cfg Config) (*Ingester, error) {
 		expandScratch: map[textdb.TermID]bool{},
 		kick:          make(chan struct{}, 1),
 		stop:          make(chan struct{}),
+		schedCtx:      schedCtx,
+		cancelSched:   cancelSched,
 	}
 	ing.extractors = make([]core.ExtractorErr, len(cfg.Extractors))
 	for i, ex := range cfg.Extractors {
@@ -436,22 +449,22 @@ func (ing *Ingester) admit(doc *textdb.Document, a analysis, persist bool) {
 	ing.dfD.AddDoc(orig)
 	ing.expandBuf = core.ExpandDocTermsAppend(ing.expandBuf[:0], ing.corpus.Dict(), orig, a.ctx, ing.expandScratch, ing.ctxTerms)
 	ing.dfC.AddDoc(ing.expandBuf)
-	ing.important = append(ing.important, a.important)
-	ing.votes = append(ing.votes, a.votes)
+	// The expansion interned every context term, so this looks them up.
+	ing.corroborated = append(ing.corroborated, core.CorroboratedTerms(ing.corpus.Dict(), a.important, a.votes))
 	if persist && ing.cfg.Store != nil {
 		ing.pending = append(ing.pending, doc)
 	}
 	ing.unpublished++
-	due := ing.unpublished >= ing.cfg.EpochDocs
-	ing.mu.Unlock()
-
 	ing.docsIngested.Add(1)
-	if due {
+	if ing.unpublished >= ing.cfg.EpochDocs {
+		// Kicked under mu, where the epoch that takes these documents
+		// drains the kick, so no stale kick outlives it.
 		select {
 		case ing.kick <- struct{}{}:
 		default:
 		}
 	}
+	ing.mu.Unlock()
 }
 
 // Bootstrap seeds the ingester with an initial document set — sharding
@@ -481,7 +494,7 @@ func (ing *Ingester) Bootstrap(docs []*textdb.Document, persist bool) error {
 		}
 		ing.admit(doc, analyses[i], persist)
 	}
-	return ing.runEpoch()
+	return ing.runEpoch(context.Background())
 }
 
 // SetOnPublish installs the publication hook after construction — the
@@ -532,7 +545,7 @@ func (ing *Ingester) schedule() {
 		if due == 0 {
 			continue
 		}
-		if err := ing.runEpoch(); err != nil && ing.cfg.Logf != nil {
+		if err := ing.runEpoch(ing.schedCtx); err != nil && ing.cfg.Logf != nil {
 			ing.cfg.Logf("ingest: epoch rebuild failed: %v", err)
 		}
 	}
@@ -595,9 +608,11 @@ func (ing *Ingester) FacetTerms() []string {
 // Close gracefully drains the subsystem: it stops accepting documents,
 // waits for the workers to finish every queued document, stops the
 // scheduler, and runs one final epoch so all accepted intake is both
-// published and durably persisted before exit. If ctx expires mid-drain
-// the final rebuild is skipped, but pending documents are still persisted
-// so no accepted intake is lost.
+// published and durably persisted before exit. The final epoch runs
+// under ctx, and once ctx is done the scheduler's in-flight epoch is
+// canceled too. A canceled epoch publishes nothing but still persists
+// its documents, so no accepted intake is lost; Close then returns ctx's
+// error.
 func (ing *Ingester) Close(ctx context.Context) error {
 	ing.submitMu.Lock()
 	if ing.closed {
@@ -610,6 +625,9 @@ func (ing *Ingester) Close(ctx context.Context) error {
 	}
 	ing.submitMu.Unlock()
 
+	defer ing.cancelSched()
+	stopCancel := context.AfterFunc(ctx, ing.cancelSched)
+	defer stopCancel()
 	ing.wg.Wait() // drain queued documents
 	close(ing.stop)
 	ing.schedWG.Wait()
@@ -620,8 +638,5 @@ func (ing *Ingester) Close(ctx context.Context) error {
 	if !due {
 		return nil
 	}
-	if ctx.Err() != nil {
-		return ing.persistPending()
-	}
-	return ing.runEpoch()
+	return ing.runEpoch(ctx)
 }

@@ -177,7 +177,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 	// build over the batch ranking. Streamed documents are admitted in
 	// completion order, so documents are matched by title.
 	votes := core.ContextVotes(batch.Important, batch.Resources, nil)
-	docTerms := core.AssignDocTerms(corpus, batch.Important, votes, want)
+	docTerms := core.AssignDocTerms(corpus, core.CorroboratedRows(corpus.Dict(), batch.Important, votes), want)
 	builder, _ := hierarchy.Lookup("subsumption")
 	batchForest, err := builder.Build(context.Background(), want, docTerms, hierarchy.BuildConfig{})
 	if err != nil {

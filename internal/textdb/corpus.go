@@ -24,10 +24,12 @@ type Document struct {
 // Corpus is an append-only document store with interned per-document term
 // sets. It is the "database D" of the paper.
 type Corpus struct {
-	docs      []*Document
-	dict      *Dictionary
-	docTerms  [][]TermID // deduplicated term IDs per document, lazily built
-	indexRows []indexRow // keyword-index row per document, lazily built
+	docs     []*Document
+	dict     *Dictionary
+	docTerms [][]TermID // deduplicated term IDs per document, lazily built
+	// index is the newest version of the corpus's keyword index, nil
+	// until first used; each use extends it to every document (indexed).
+	index *Index
 }
 
 // NewCorpus returns an empty corpus with a fresh dictionary.
@@ -47,7 +49,6 @@ func (c *Corpus) Add(doc *Document) DocID {
 	doc.ID = DocID(len(c.docs))
 	c.docs = append(c.docs, doc)
 	c.docTerms = append(c.docTerms, nil)
-	c.indexRows = append(c.indexRows, indexRow{})
 	return doc.ID
 }
 
@@ -87,27 +88,25 @@ func (c *Corpus) DocTerms(id DocID) []TermID {
 
 // Snapshot returns an immutable copy-on-write view of the corpus: a new
 // Corpus sharing the dictionary, document pointers, cached term sets and
-// keyword-index rows. Later Adds to the original do not affect the
-// snapshot, and documents are never mutated after Add, so a snapshot is
-// safe for concurrent readers while the original keeps growing — the
-// property the live ingestion subsystem relies on to serve one epoch
-// while building the next. All lazily-built rows are materialized first
-// so snapshot readers never write the shared caches; each document is
-// tokenized for them once, so successive snapshots of a growing corpus
-// tokenize only the documents added in between.
+// a version of the keyword index. Later Adds to the original do not
+// affect the snapshot, and documents are never mutated after Add, so a
+// snapshot is safe for concurrent readers while the original keeps
+// growing — the property the live ingestion subsystem relies on to serve
+// one epoch while building the next. The lazily-built term sets are
+// materialized and the index extended to every document first, under
+// the caller's lock, so snapshot readers never write what the corpus
+// shares with them; each document is tokenized for them once, so
+// successive snapshots of a growing corpus tokenize only the documents
+// added in between.
 func (c *Corpus) Snapshot() *Corpus {
 	for i := range c.docs {
 		c.DocTerms(DocID(i))
 	}
-	counts := map[TermID]int32{}
-	for i := range c.docs {
-		c.indexRow(DocID(i), counts)
-	}
 	return &Corpus{
-		docs:      append([]*Document(nil), c.docs...),
-		dict:      c.dict,
-		docTerms:  append([][]TermID(nil), c.docTerms...),
-		indexRows: append([]indexRow(nil), c.indexRows...),
+		docs:     append([]*Document(nil), c.docs...),
+		dict:     c.dict,
+		docTerms: append([][]TermID(nil), c.docTerms...),
+		index:    c.indexed(),
 	}
 }
 

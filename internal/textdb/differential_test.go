@@ -3,6 +3,8 @@ package textdb
 import (
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -130,8 +132,9 @@ func FuzzRanks(f *testing.F) {
 // under -race: one goroutine adds documents to the live corpus (under the
 // lock ingestion holds for it) and interns context terms (without it),
 // while another snapshots the corpus and, off the lock, indexes the
-// snapshot twice at once and ranks its terms. Snapshots share the dictionary with its
-// kept text order, and the keyword-index rows with the live corpus.
+// snapshot twice at once and ranks its terms. Snapshots share the
+// dictionary with its kept text order, and the posting lists' arrays
+// with the live corpus's keyword index.
 func TestSnapshotIndexAndRanksWhileIngesting(t *testing.T) {
 	var mu sync.Mutex
 	live := NewCorpus()
@@ -162,8 +165,9 @@ func TestSnapshotIndexAndRanksWhileIngesting(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if got := BuildIndex(snap); !reflect.DeepEqual(got.postings, want.postings) ||
-					!reflect.DeepEqual(got.docLen, want.docLen) || got.totalLen != want.totalLen {
+				gp, gl, gt := IndexState(BuildIndex(snap))
+				wp, wl, wt := IndexState(want)
+				if !reflect.DeepEqual(gp, wp) || !reflect.DeepEqual(gl, wl) || gt != wt {
 					t.Errorf("index over a %d-document snapshot differs from the reference", snap.Len())
 				}
 			}()
@@ -183,5 +187,82 @@ func TestSnapshotIndexAndRanksWhileIngesting(t *testing.T) {
 		default:
 			check()
 		}
+	}
+}
+
+// TestOlderIndexVersionWhileExtending: an index version keeps answering
+// as it did when it was taken while the live corpus goes on extending,
+// in place, the posting lists it shares with that version. One goroutine
+// adds documents and snapshots them; two readers ask the first
+// snapshot's index about every word the documents will ever hold, and
+// must get the reference index's answers over that snapshot.
+func TestOlderIndexVersionWhileExtending(t *testing.T) {
+	doc := func(i int) *Document {
+		return &Document{
+			Title: fmt.Sprintf("Bulletin %d on %s", i, []string{"harbors", "tariffs", "floods"}[i%3]),
+			Text:  fmt.Sprintf("Desk%d reports item%d: the %d pilots and crew%d met again.", i%5, i, i%7, i%13),
+		}
+	}
+	const first, total = 20, 140
+	var words []string
+	for i := 0; i < total; i++ {
+		d := doc(i)
+		for _, tok := range strings.Fields(d.Title + " " + d.Text) {
+			words = append(words, strings.Trim(tok, ".:"))
+		}
+	}
+	answers := func(ix *Index, n int) []string {
+		out := make([]string, len(words))
+		for i, w := range words {
+			out[i] = fmt.Sprintf("%s %v %v %d", w, ix.Search(w, n), ix.SearchAll(w, n), ix.DocFreq(w))
+		}
+		return out
+	}
+
+	live := NewCorpus()
+	for i := 0; i < first; i++ {
+		live.Add(doc(i))
+	}
+	old := live.Snapshot()
+	want := answers(refBuildIndex(old), first)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := first; i < total; i++ {
+			live.Add(doc(i))
+			if i%3 == 0 {
+				live.Snapshot()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				if got := answers(BuildIndex(old), first); !slices.Equal(got, want) {
+					t.Error("the first snapshot's index answered differently while the live corpus extended its lists")
+					return
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	<-done
+	gp, gl, gt := IndexState(BuildIndex(old))
+	wp, wl, wt := IndexState(refBuildIndex(old))
+	if !reflect.DeepEqual(gp, wp) || !reflect.DeepEqual(gl, wl) || gt != wt {
+		t.Fatal("the first snapshot's index differs from the reference after the live corpus grew")
+	}
+	gp, gl, gt = IndexState(BuildIndex(live))
+	wp, wl, wt = IndexState(refBuildIndex(live))
+	if !reflect.DeepEqual(gp, wp) || !reflect.DeepEqual(gl, wl) || gt != wt {
+		t.Fatal("the live corpus's index differs from the reference")
 	}
 }

@@ -1,7 +1,6 @@
 package textdb
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -19,9 +18,23 @@ type posting struct {
 // Index is an inverted index over the unigram tokens of a corpus with
 // Okapi BM25 ranking. It backs the web-search simulator (the paper's
 // Google resource) and the keyword-search side of the user study.
+//
+// An Index is one version of its corpus's keyword index and never
+// changes. The corpus keeps its newest version and extends it with the
+// documents added since each time it is used (BuildIndex,
+// Corpus.Snapshot), so a growing corpus tokenizes each document once.
+// A new version copies the list headers into an array sized once from
+// the dictionary and appends the new documents' postings to the lists'
+// arrays, past the end any earlier version reads; versions share those
+// append-only arrays, and only the newest version of the corpus that
+// built it is ever extended in place.
 type Index struct {
-	corpus   *Corpus
-	postings map[TermID][]posting
+	dict *Dictionary
+	// owner is the corpus that may append to the arrays behind postings
+	// and docLen; any other corpus extending this version copies a list
+	// before appending to it.
+	owner    *Corpus
+	postings [][]posting // by term ID, each list in document order
 	docLen   []int32
 	totalLen int64
 }
@@ -32,75 +45,81 @@ const (
 	bm25B  = 0.75
 )
 
-// BuildIndex indexes every document in the corpus. Stopwords are not
-// indexed. Title tokens are counted twice, a conventional field boost.
-// Each document's row (its distinct indexed terms with their counts) is
-// built once and kept by the corpus, so indexing a snapshot of a growing
-// corpus tokenizes only the documents no earlier index or snapshot saw.
-func BuildIndex(c *Corpus) *Index {
+// BuildIndex returns the corpus's keyword index over every document.
+// Stopwords are not indexed. Title tokens are counted twice, a
+// conventional field boost. The corpus keeps the index and extends it
+// with the documents added since the last call, so indexing a snapshot
+// of a growing corpus tokenizes only the documents no earlier index or
+// snapshot saw, and indexing a corpus twice builds one index.
+func BuildIndex(c *Corpus) *Index { return c.indexed() }
+
+// indexed extends the corpus's keyword index to all of its documents and
+// returns that version.
+func (c *Corpus) indexed() *Index {
+	if c.index == nil {
+		c.index = &Index{dict: c.dict, owner: c}
+	}
+	prev := c.index
+	from := len(prev.docLen)
+	if from == len(c.docs) {
+		return prev // a snapshot's readers get here, and write nothing
+	}
 	ix := &Index{
-		corpus:   c,
-		postings: map[TermID][]posting{}, // grows like the dictionary
-		docLen:   make([]int32, c.Len()),
+		dict:     c.dict,
+		owner:    c,
+		postings: make([][]posting, max(c.dict.Len(), len(prev.postings))),
+		docLen:   prev.docLen,
+		totalLen: prev.totalLen,
+	}
+	copy(ix.postings, prev.postings)
+	if prev.owner != c {
+		for id, list := range ix.postings {
+			ix.postings[id] = slices.Clip(list)
+		}
+		ix.docLen = slices.Clip(ix.docLen)
 	}
 	counts := map[TermID]int32{}
-	for i := range c.docs {
-		doc := DocID(i)
-		row := c.indexRow(doc, counts)
-		ix.docLen[doc] = row.length
-		ix.totalLen += int64(row.length)
-		// Deterministic posting order: docs are added in ID order.
-		for _, e := range row.terms {
-			ix.postings[e.id] = append(ix.postings[e.id], posting{doc, e.tf})
+	for d := from; d < len(c.docs); d++ {
+		clear(counts)
+		var n int32
+		doc := c.docs[d]
+		for _, tok := range lang.Tokenize(doc.Text) {
+			if lang.IsStopword(tok.Norm) || len(tok.Norm) < 2 {
+				continue
+			}
+			counts[c.dict.Intern(tok.Norm)]++
+			n++
+		}
+		for _, tok := range lang.Tokenize(doc.Title) {
+			if lang.IsStopword(tok.Norm) || len(tok.Norm) < 2 {
+				continue
+			}
+			counts[c.dict.Intern(tok.Norm)] += 2
+			n += 2
+		}
+		ix.docLen = append(ix.docLen, n)
+		ix.totalLen += int64(n)
+		// Documents are added in ID order, so each list stays in
+		// document order; the order lists are appended to is immaterial.
+		for id, tf := range counts {
+			if int(id) >= len(ix.postings) {
+				// A term the document interned after the array was sized.
+				ix.postings = append(ix.postings, make([][]posting, int(id)+1-len(ix.postings))...)
+			}
+			ix.postings[id] = append(ix.postings[id], posting{DocID(d), tf})
 		}
 	}
+	c.index = ix
 	return ix
 }
 
-// indexEntry is one distinct indexed term of a document with its count.
-type indexEntry struct {
-	id TermID
-	tf int32
-}
-
-// indexRow is one document's row of the keyword index: its distinct
-// indexed terms in term-ID order, and its length, the sum of their
-// counts. A nil terms slice marks a row not built yet.
-type indexRow struct {
-	terms  []indexEntry
-	length int32
-}
-
-// indexRow returns the document's keyword-index row, building and
-// caching it on first use. counts is scratch space, cleared on entry.
-func (c *Corpus) indexRow(id DocID, counts map[TermID]int32) indexRow {
-	if row := c.indexRows[id]; row.terms != nil {
-		return row
+// list returns the term's posting list; nil for a term this version
+// holds no document of (including terms interned after it was built).
+func (ix *Index) list(id TermID) []posting {
+	if id < 0 || int(id) >= len(ix.postings) {
+		return nil
 	}
-	clear(counts)
-	var n int32
-	doc := c.docs[id]
-	for _, tok := range lang.Tokenize(doc.Text) {
-		if lang.IsStopword(tok.Norm) || len(tok.Norm) < 2 {
-			continue
-		}
-		counts[c.dict.Intern(tok.Norm)]++
-		n++
-	}
-	for _, tok := range lang.Tokenize(doc.Title) {
-		if lang.IsStopword(tok.Norm) || len(tok.Norm) < 2 {
-			continue
-		}
-		counts[c.dict.Intern(tok.Norm)] += 2
-		n += 2
-	}
-	row := indexRow{terms: make([]indexEntry, 0, len(counts)), length: n}
-	for id, tf := range counts {
-		row.terms = append(row.terms, indexEntry{id, tf})
-	}
-	slices.SortFunc(row.terms, func(a, b indexEntry) int { return cmp.Compare(a.id, b.id) })
-	c.indexRows[id] = row
-	return row
+	return ix.postings[id]
 }
 
 // Hit is one search result.
@@ -120,21 +139,21 @@ func (ix *Index) Search(query string, k int) []Hit {
 		if lang.IsStopword(tok.Norm) || len(tok.Norm) < 2 {
 			continue
 		}
-		if id := ix.corpus.dict.Lookup(tok.Norm); id != NoTerm {
+		if id := ix.dict.Lookup(tok.Norm); id != NoTerm {
 			queryIDs = append(queryIDs, id)
 		}
 	}
 	if len(queryIDs) == 0 {
 		return nil
 	}
-	n := float64(ix.corpus.Len())
+	n := float64(len(ix.docLen))
 	avgdl := 1.0
-	if ix.corpus.Len() > 0 {
-		avgdl = float64(ix.totalLen) / float64(ix.corpus.Len())
+	if len(ix.docLen) > 0 {
+		avgdl = float64(ix.totalLen) / n
 	}
 	scores := map[DocID]float64{}
 	for _, qid := range queryIDs {
-		plist := ix.postings[qid]
+		plist := ix.list(qid)
 		if len(plist) == 0 {
 			continue
 		}
@@ -183,7 +202,7 @@ func (ix *Index) SearchAll(query string, k int) []Hit {
 		if lang.IsStopword(tok.Norm) || len(tok.Norm) < 2 {
 			continue
 		}
-		id := ix.corpus.dict.Lookup(tok.Norm)
+		id := ix.dict.Lookup(tok.Norm)
 		if id == NoTerm {
 			return nil // a term with no postings empties the conjunction
 		}
@@ -195,12 +214,12 @@ func (ix *Index) SearchAll(query string, k int) []Hit {
 	if len(queryIDs) == 0 {
 		return nil
 	}
-	hits := ix.Search(query, ix.corpus.Len())
+	hits := ix.Search(query, len(ix.docLen))
 	// Filter to documents matched by every term.
 	need := len(queryIDs)
 	matched := map[DocID]int{}
 	for _, qid := range queryIDs {
-		for _, p := range ix.postings[qid] {
+		for _, p := range ix.list(qid) {
 			matched[p.doc]++
 		}
 	}
@@ -218,11 +237,7 @@ func (ix *Index) SearchAll(query string, k int) []Hit {
 
 // DocFreq returns the number of documents containing the term.
 func (ix *Index) DocFreq(term string) int {
-	id := ix.corpus.dict.Lookup(strings.ToLower(term))
-	if id == NoTerm {
-		return 0
-	}
-	return len(ix.postings[id])
+	return len(ix.list(ix.dict.Lookup(strings.ToLower(term))))
 }
 
 // Snippet extracts a window of approximately windowTokens tokens from the

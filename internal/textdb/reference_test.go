@@ -71,12 +71,13 @@ func refTopTerms(t *DFTable, k, minDF int) []TermID {
 }
 
 // refBuildIndex is BuildIndex tokenizing every document of the corpus.
+// It builds a fresh index, kept by no corpus.
 func refBuildIndex(c *Corpus) *Index {
 	ix := &Index{
-		corpus:   c,
-		postings: map[TermID][]posting{},
-		docLen:   make([]int32, c.Len()),
+		dict:   c.dict,
+		docLen: make([]int32, c.Len()),
 	}
+	postings := map[TermID][]posting{}
 	counts := map[TermID]int32{}
 	for _, doc := range c.Docs() {
 		clear(counts)
@@ -104,8 +105,12 @@ func refBuildIndex(c *Corpus) *Index {
 		}
 		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 		for _, id := range ids {
-			ix.postings[id] = append(ix.postings[id], posting{doc.ID, counts[id]})
+			postings[id] = append(postings[id], posting{doc.ID, counts[id]})
 		}
+	}
+	ix.postings = make([][]posting, c.dict.Len())
+	for id, list := range postings {
+		ix.postings[id] = list
 	}
 	return ix
 }

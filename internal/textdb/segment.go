@@ -99,7 +99,9 @@ func (s *Store) Docs() int {
 }
 
 // Append durably writes the documents as one new segment and registers
-// it. Documents become visible to LoadAll only after Append returns.
+// it. Documents become visible to LoadAll only after Append returns nil;
+// after an error the store holds none of them. A Store is not safe for
+// concurrent use.
 func (s *Store) Append(docs []*Document) error {
 	if len(docs) == 0 {
 		return fmt.Errorf("textdb: empty segment append")
@@ -142,7 +144,14 @@ func (s *Store) Append(docs []*Document) error {
 		return fmt.Errorf("textdb: publish segment: %w", err)
 	}
 	s.segments = append(s.segments, segmentInfo{name, len(docs)})
-	return s.writeManifest()
+	if err := s.writeManifest(); err != nil {
+		// The manifest does not list the segment: forget it, so a retry
+		// of the same documents writes them once.
+		s.segments = s.segments[:len(s.segments)-1]
+		os.Remove(filepath.Join(s.dir, name))
+		return err
+	}
+	return nil
 }
 
 func (s *Store) writeManifest() error {

@@ -268,6 +268,53 @@ func TestStoreAppendAfterCrashOverwritesOrphan(t *testing.T) {
 	}
 }
 
+// TestStoreAppendAfterFailedManifestWrite: an Append whose manifest
+// write fails leaves the store as it was, so retrying the same documents
+// (as live ingestion does with an epoch's intake) stores them once.
+func TestStoreAppendAfterFailedManifestWrite(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := OpenStore(dir)
+	if err := s.Append(testDocs(2, "a")); err != nil {
+		t.Fatal(err)
+	}
+	// A directory where the manifest's temporary file goes makes the
+	// manifest write fail after the segment file is written.
+	blocker := filepath.Join(dir, manifestName+".tmp")
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(testDocs(3, "b")); err == nil {
+		t.Fatal("Append succeeded with the manifest write blocked")
+	}
+	if s.Segments() != 1 || s.Docs() != 2 {
+		t.Fatalf("after the failed Append: %d segments, %d docs, want 1 and 2", s.Segments(), s.Docs())
+	}
+	if orphans, _ := s.OrphanSegments(); len(orphans) != 0 {
+		t.Fatalf("failed Append left segment files %v", orphans)
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(testDocs(3, "b")); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := reopened.LoadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var titles []string
+	for _, d := range c.Docs() {
+		titles = append(titles, d.Title)
+	}
+	if got, want := strings.Join(titles, ","), "a title,a title,b title,b title,b title"; got != want {
+		t.Fatalf("reopened store holds %s, want %s", got, want)
+	}
+}
+
 func TestQuickDocEncodeDecode(t *testing.T) {
 	f := func(title, source, text string, unix uint32) bool {
 		in := &Document{

@@ -45,6 +45,21 @@ func TestExtractFacetsContextCancellation(t *testing.T) {
 	}
 }
 
+// TestExtractFacetsCanceledBeforeCalibration: a canceled extraction
+// stops before the Yahoo-style extractor calibrates its background table,
+// which would build (and intern) every document's term row first.
+func TestExtractFacetsCanceledBeforeCalibration(t *testing.T) {
+	sys := loadedSystem(t, 40)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := sys.ExtractFacetsContext(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if n := sys.corpus.Dict().Len(); n != 0 {
+		t.Fatalf("canceled extraction interned %d terms, want none", n)
+	}
+}
+
 // countingExtractor marks nothing important and counts its calls.
 type countingExtractor struct{ calls atomic.Int64 }
 
